@@ -37,7 +37,7 @@ print()
 
 # The pignistic distribution splits every focal set evenly over its members;
 # it is what agents use to decide which state to investigate next.
-print("pignistic of the fused belief:", dc.pignistic(fused).probs)
+print("pignistic of the fused belief:", dc.pignistic(fused))
 
 # Total conflict: Dempster's rule refuses, the others commit.
 certain_1 = dc.MassFunction(frame, {S1: 1.0})

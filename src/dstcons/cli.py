@@ -20,7 +20,7 @@ from .harness import (
     trajectory_rows,
 )
 from .mass import COMBINERS, FrameOfDiscernment, MassFunction, make_vacuous
-from .simulation import SimConfig, population_mean_bel, run
+from .simulation import SimConfig, population_means, run
 
 OPERATOR_CHOICES = sorted(COMBINERS)
 
@@ -123,14 +123,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"converged: false (cap {config.max_iterations})")
     if args.operator == "dempster":
         print(f"skipped total-conflict interactions: {result.dempster_skips}")
-    if config.trajectory_stride:
-        final_bel = result.trajectory_bel[-1]
-    else:
-        frame = FrameOfDiscernment(config.n)
-        final_bel = [
-            population_mean_bel(result.steady_state, frame.singleton(j))
-            for j in range(1, config.n + 1)
-        ]
+    final_bel, _ = population_means(result.steady_state)
     bels = " ".join(f"s{j + 1}={v:.6g}" for j, v in enumerate(final_bel))
     print(f"final mean Bel: {bels}")
     return 0
@@ -221,3 +214,7 @@ def cli_main(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(cli_main())
+
+
+if __name__ == "__main__":
+    main()

@@ -7,51 +7,19 @@ noise draw and the singleton mass is clamped to [0, 1].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .mass import FrameOfDiscernment, MassFunction, make_vacuous
+from .mass import FrameOfDiscernment, MassFunction, make_vacuous, pignistic
 
 
-@dataclass(frozen=True)
-class QualityProfile:
-    """Per-state quality values ``q_1 .. q_n``, each in [0, 1]."""
+def default_qualities(n: int) -> np.ndarray:
+    """The standard allocation ``q_i = i / (n + 1)``, so ``s_n`` is the best state.
 
-    frame: FrameOfDiscernment
-    qualities: np.ndarray
-
-    def __post_init__(self) -> None:
-        q = np.asarray(self.qualities, dtype=float)
-        if q.shape != (self.frame.n,):
-            raise ValueError(f"expected {self.frame.n} quality values, got shape {q.shape}")
-        if np.any(q < 0.0) or np.any(q > 1.0):
-            raise ValueError("quality values must lie in [0, 1]")
-        object.__setattr__(self, "qualities", q)
-
-    def quality(self, i: int) -> float:
-        """Quality of state ``s_i`` (1-based)."""
-        return float(self.qualities[i - 1])
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Zero-mean Gaussian observation noise with standard deviation ``sigma``."""
-
-    sigma: float
-
-    def __post_init__(self) -> None:
-        if self.sigma < 0.0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
-
-    def draw(self, rng: np.random.Generator) -> float:
-        return float(rng.standard_normal()) * self.sigma
-
-
-def default_qualities(n: int) -> QualityProfile:
-    """The standard allocation ``q_i = i / (n + 1)``, so ``s_n`` is the best state."""
-    frame = FrameOfDiscernment(n)
-    return QualityProfile(frame, np.arange(1, n + 1) / (n + 1))
+    Entry ``i - 1`` is the quality of state ``s_i``.
+    """
+    if not isinstance(n, int) or n < 2:
+        raise ValueError(f"need n >= 2 states, got n={n}")
+    return np.arange(1, n + 1) / (n + 1)
 
 
 def evidence_mass(
@@ -77,16 +45,7 @@ def select_state(m: MassFunction, rng: np.random.Generator) -> int:
     Cumulative-sum inversion on a single uniform draw; states with exactly
     zero pignistic probability can never be selected.
     """
-    # Same mass-splitting as pignistic(), unwrapped for the simulation hot loop.
-    probs = [0.0] * m.frame.n
-    for subset, value in m.focal.items():
-        share = value / subset.bit_count()
-        i = 0
-        while subset:
-            if subset & 1:
-                probs[i] += share
-            subset >>= 1
-            i += 1
+    probs = pignistic(m)
     u = rng.random()
     cum = 0.0
     last_positive = 0

@@ -16,7 +16,6 @@ the report flags them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, log
 
 import numpy as np
 
@@ -177,35 +176,6 @@ def numeric_jacobian(
 def spectral_radius_eig(jac: np.ndarray) -> float:
     """Largest eigenvalue magnitude via full eigendecomposition."""
     return float(np.max(np.abs(np.linalg.eigvals(jac))))
-
-
-def spectral_radius_power(jac: np.ndarray, max_squarings: int = 64) -> float:
-    """Largest eigenvalue magnitude via normalized repeated squaring.
-
-    Tracks ``||J^(2^i)||`` in log space; the Gelfand limit ``||J^m||^(1/m)``
-    converges to the spectral radius for any matrix, including defective and
-    complex-spectrum cases that defeat single-vector power iteration.
-    """
-    b = np.asarray(jac, dtype=float)
-    norm = float(np.linalg.norm(b))
-    if norm == 0.0:
-        return 0.0
-    b = b / norm
-    log_scale = log(norm)
-    power = 1
-    estimate = exp(log_scale / power)
-    for _ in range(max_squarings):
-        b = b @ b
-        norm = float(np.linalg.norm(b))
-        if norm == 0.0:
-            return 0.0
-        b = b / norm
-        log_scale = 2.0 * log_scale + log(norm)
-        power *= 2
-        previous, estimate = estimate, exp(log_scale / power)
-        if abs(estimate - previous) <= 1e-13 * max(1.0, estimate):
-            break
-    return estimate
 
 
 def classify(

@@ -15,6 +15,7 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -23,8 +24,10 @@ import numpy as np
 from .simulation import (
     RunResult,
     SimConfig,
+    check_count,
+    check_sigma,
     population_mean_bel,
-    population_mean_pl,
+    population_means,
     run,
 )
 
@@ -33,9 +36,20 @@ WORKERS_ENV_VAR = "DSTCONS_WORKERS"
 # Stable operator identifiers used in seed derivation; never reorder.
 OPERATOR_IDS = {"dempster": 0, "dubois_prade": 1, "yager": 2, "average": 3}
 
+# The grid coordinates of a cell; cells, summaries and runs are ordered by them.
+CELL_FIELDS = ("operator", "n", "r", "sigma", "consensus")
+CELL_KEY = attrgetter(*CELL_FIELDS)
+
+# Columns of the summary file (CellSummary attributes) and the leading
+# columns of the runs file (RunRecord attributes; bel_s1..bel_sN follow).
 SUMMARY_COLUMNS = (
-    "operator,n,k,r,sigma,consensus,runs,mean_bel_best,std_bel_best,"
-    "converged_fraction,mean_conv_iter,std_conv_iter"
+    "operator", "n", "k", "r", "sigma", "consensus", "runs", "mean_bel_best",
+    "std_bel_best", "converged_fraction", "mean_conv_iter", "std_conv_iter",
+)
+RUN_COLUMNS = (
+    "operator", "n", "k", "r", "sigma", "consensus", "run_index", "seed",
+    "converged", "convergence_iteration", "stasis_iteration", "dempster_skips",
+    "mean_pl_best", "mean_bel_top2",
 )
 
 
@@ -66,28 +80,29 @@ class SweepSpec:
         object.__setattr__(self, "r_values", tuple(self.r_values))
         object.__setattr__(self, "sigma_values", tuple(self.sigma_values))
         for name in ("operators", "n_values", "r_values", "sigma_values"):
-            if not getattr(self, name):
+            values = getattr(self, name)
+            if not values:
                 raise ConfigError(f"{name} must be non-empty")
+            if len(set(values)) != len(values):
+                raise ConfigError(f"{name} has repeated values: {values}")
         for op in self.operators:
             if op not in OPERATOR_IDS:
                 raise ConfigError(
                     f"unknown operator {op!r}; expected one of {sorted(OPERATOR_IDS)}"
                 )
         for n in self.n_values:
-            if n < 2:
-                raise ConfigError(f"state counts must be >= 2, got {n}")
+            check_count("state count n", n, 2, ConfigError)
         for r in self.r_values:
             if not 0.0 <= r <= 1.0:
                 raise ConfigError(f"evidence rates must lie in [0, 1], got {r}")
         for sigma in self.sigma_values:
-            if sigma < 0.0:
-                raise ConfigError(f"noise levels must be >= 0, got {sigma}")
-        if self.runs_per_cell < 1:
-            raise ConfigError("runs_per_cell must be >= 1")
-        if self.k < 2 and True in self.consensus_modes():
-            raise ConfigError("k must be >= 2 for consensus cells")
-        if self.root_seed < 0:
-            raise ConfigError("root_seed must be a non-negative 64-bit integer")
+            check_sigma(sigma, ConfigError)
+        check_count("k", self.k, 2 if True in self.consensus_modes() else 1, ConfigError)
+        check_count("runs_per_cell", self.runs_per_cell, 1, ConfigError)
+        check_count("max_iterations", self.max_iterations, 1, ConfigError)
+        check_count("convergence_window", self.convergence_window, 1, ConfigError)
+        check_count("trajectory_stride", self.trajectory_stride, 0, ConfigError)
+        check_count("root_seed", self.root_seed, 0, ConfigError)
 
     def consensus_modes(self) -> tuple[bool, ...]:
         if not self.consensus:
@@ -108,9 +123,6 @@ class Cell:
     consensus: bool
     r_index: int
     sigma_index: int
-
-    def sort_key(self):
-        return (self.operator, self.n, self.r, self.sigma, self.consensus)
 
 
 @dataclass(frozen=True)
@@ -207,7 +219,7 @@ def build_cells(spec: SweepSpec) -> list[Cell]:
         for sigma_index, sigma in enumerate(spec.sigma_values)
         for consensus in spec.consensus_modes()
     ]
-    cells.sort(key=Cell.sort_key)
+    cells.sort(key=CELL_KEY)
     return cells
 
 
@@ -291,6 +303,7 @@ def _make_record(cell: Cell, run_index: int, result: RunResult) -> RunRecord:
     frame = agents[0].frame
     n = frame.n
     top2 = frame.singleton(n) | frame.singleton(n - 1)
+    mean_bel, mean_pl_best = population_means(agents)
     stasis = (
         result.convergence_iteration - result.config.convergence_window
         if result.converged
@@ -309,10 +322,8 @@ def _make_record(cell: Cell, run_index: int, result: RunResult) -> RunRecord:
         convergence_iteration=result.convergence_iteration,
         stasis_iteration=stasis,
         dempster_skips=result.dempster_skips,
-        mean_bel=tuple(
-            population_mean_bel(agents, frame.singleton(j)) for j in range(1, n + 1)
-        ),
-        mean_pl_best=population_mean_pl(agents, frame.singleton(n)),
+        mean_bel=mean_bel,
+        mean_pl_best=mean_pl_best,
         mean_bel_top2=population_mean_bel(agents, top2),
     )
 
@@ -412,29 +423,6 @@ def _write_table(
                 writer.writerow([_fmt(value, full_precision) for value in row])
 
 
-def summary_rows(summaries: Sequence[CellSummary]) -> list[list]:
-    ordered = sorted(
-        summaries, key=lambda s: (s.operator, s.n, s.r, s.sigma, s.consensus)
-    )
-    return [
-        [
-            s.operator,
-            s.n,
-            s.k,
-            s.r,
-            s.sigma,
-            s.consensus,
-            s.runs,
-            s.mean_bel_best,
-            s.std_bel_best,
-            s.converged_fraction,
-            s.mean_conv_iter,
-            s.std_conv_iter,
-        ]
-        for s in ordered
-    ]
-
-
 def emit_csv(
     summaries: Sequence[CellSummary],
     path: str | Path,
@@ -450,7 +438,11 @@ def emit_csv(
         raise ConfigError(f"unknown output format {fmt!r}; expected csv or json")
     path = Path(path)
     written = [path]
-    _write_table(path, SUMMARY_COLUMNS.split(","), summary_rows(summaries), fmt)
+    rows = [
+        [getattr(s, col) for col in SUMMARY_COLUMNS]
+        for s in sorted(summaries, key=CELL_KEY)
+    ]
+    _write_table(path, SUMMARY_COLUMNS, rows, fmt)
     if records is not None:
         runs_path = _sibling(path, "runs")
         _write_table(runs_path, *_runs_table(records), fmt=fmt, full_precision=True)
@@ -460,48 +452,13 @@ def emit_csv(
 
 def _runs_table(records: Sequence[RunRecord]) -> tuple[list[str], list[list]]:
     n_max = max(rec.n for rec in records) if records else 0
-    columns = [
-        "operator",
-        "n",
-        "k",
-        "r",
-        "sigma",
-        "consensus",
-        "run_index",
-        "seed",
-        "converged",
-        "convergence_iteration",
-        "stasis_iteration",
-        "dempster_skips",
-        "mean_pl_best",
-        "mean_bel_top2",
-    ] + [f"bel_s{j}" for j in range(1, n_max + 1)]
-    ordered = sorted(
-        records,
-        key=lambda rec: (rec.operator, rec.n, rec.r, rec.sigma, rec.consensus, rec.run_index),
-    )
-    rows = []
-    for rec in ordered:
-        bels = list(rec.mean_bel) + [None] * (n_max - rec.n)
-        rows.append(
-            [
-                rec.operator,
-                rec.n,
-                rec.k,
-                rec.r,
-                rec.sigma,
-                rec.consensus,
-                rec.run_index,
-                rec.seed,
-                rec.converged,
-                rec.convergence_iteration,
-                rec.stasis_iteration,
-                rec.dempster_skips,
-                rec.mean_pl_best,
-                rec.mean_bel_top2,
-            ]
-            + bels
-        )
+    columns = list(RUN_COLUMNS) + [f"bel_s{j}" for j in range(1, n_max + 1)]
+    rows = [
+        [getattr(rec, col) for col in RUN_COLUMNS]
+        + list(rec.mean_bel)
+        + [None] * (n_max - rec.n)
+        for rec in sorted(records, key=attrgetter(*CELL_FIELDS, "run_index"))
+    ]
     return columns, rows
 
 

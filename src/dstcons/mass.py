@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from math import fsum
 from typing import Mapping
 
-import numpy as np
-
 # Normalization tolerance for "sums to one" checks.
 EPS_NORM = 1e-9
 # Masses below this are treated as rounding dust by renormalize().
@@ -100,24 +98,6 @@ class MassFunction:
         return format_mass(self)
 
 
-@dataclass(frozen=True)
-class PignisticDistribution:
-    """Probability over states obtained by splitting each focal mass equally."""
-
-    frame: FrameOfDiscernment
-    probs: np.ndarray
-
-    def __post_init__(self) -> None:
-        p = np.asarray(self.probs, dtype=float)
-        if p.shape != (self.frame.n,):
-            raise ValueError(f"expected {self.frame.n} probabilities, got shape {p.shape}")
-        if np.any(p < 0.0) or np.any(p > 1.0 + EPS_NORM):
-            raise ValueError("pignistic probabilities must lie in [0, 1]")
-        if abs(float(p.sum()) - 1.0) > EPS_NORM:
-            raise ValueError("pignistic probabilities must total 1")
-        object.__setattr__(self, "probs", p)
-
-
 def format_mass(m: MassFunction) -> str:
     """Debug rendering, e.g. ``{s1,s3}:0.25; {s1,s2,s3}:0.75`` (ascending subsets)."""
     parts = [
@@ -144,9 +124,12 @@ def pl(m: MassFunction, subset: int) -> float:
     return fsum(v for a, v in m.focal.items() if a & subset)
 
 
-def pignistic(m: MassFunction) -> PignisticDistribution:
-    """Split every focal set's mass equally among its member states."""
-    probs = np.zeros(m.frame.n)
+def pignistic(m: MassFunction) -> list[float]:
+    """Split every focal set's mass equally among its member states.
+
+    Returns the probability of each state ``s_1 .. s_n`` in order.
+    """
+    probs = [0.0] * m.frame.n
     for subset, value in m.focal.items():
         share = value / subset.bit_count()
         i = 0
@@ -155,18 +138,12 @@ def pignistic(m: MassFunction) -> PignisticDistribution:
                 probs[i] += share
             subset >>= 1
             i += 1
-    return PignisticDistribution(m.frame, probs)
+    return probs
 
 
 def conflict(m1: MassFunction, m2: MassFunction) -> float:
     """The conflict K: total product mass landing on disjoint focal pairs."""
-    _check_same_frame(m1, m2)
-    k = 0.0
-    for a, va in m1.focal.items():
-        for b, vb in m2.focal.items():
-            if not a & b:
-                k += va * vb
-    return k
+    return _conjunctive(m1, m2)[1]
 
 
 def combine_dempster(m1: MassFunction, m2: MassFunction) -> MassFunction:
@@ -175,16 +152,7 @@ def combine_dempster(m1: MassFunction, m2: MassFunction) -> MassFunction:
     Raises :class:`TotalConflictError` when K = 1 (within ``EPS_NORM``); the
     consensus protocol treats that case as a skipped interaction.
     """
-    _check_same_frame(m1, m2)
-    raw: dict[int, float] = {}
-    k = 0.0
-    for a, va in m1.focal.items():
-        for b, vb in m2.focal.items():
-            c = a & b
-            if c:
-                raw[c] = raw.get(c, 0.0) + va * vb
-            else:
-                k += va * vb
+    raw, k = _conjunctive(m1, m2)
     if k >= 1.0 - EPS_NORM:
         raise TotalConflictError(f"total conflict between operands (K={k!r})")
     return _from_products(m1.frame, raw)
@@ -205,16 +173,7 @@ def combine_dubois_prade(m1: MassFunction, m2: MassFunction) -> MassFunction:
 
 def combine_yager(m1: MassFunction, m2: MassFunction) -> MassFunction:
     """Yager's rule: all conflicting mass is reallocated to the universal set."""
-    _check_same_frame(m1, m2)
-    raw: dict[int, float] = {}
-    k = 0.0
-    for a, va in m1.focal.items():
-        for b, vb in m2.focal.items():
-            c = a & b
-            if c:
-                raw[c] = raw.get(c, 0.0) + va * vb
-            else:
-                k += va * vb
+    raw, k = _conjunctive(m1, m2)
     if k > 0.0:
         full = m1.frame.full_set
         raw[full] = raw.get(full, 0.0) + k
@@ -292,6 +251,21 @@ def approx_eq(m1: MassFunction, m2: MassFunction, eps: float = EPS_NORM) -> bool
 def _check_same_frame(m1: MassFunction, m2: MassFunction) -> None:
     if m1.frame != m2.frame:
         raise ValueError(f"frame mismatch: n={m1.frame.n} vs n={m2.frame.n}")
+
+
+def _conjunctive(m1: MassFunction, m2: MassFunction) -> tuple[dict[int, float], float]:
+    """Intersection products by subset, and the conflict K of disjoint pairs."""
+    _check_same_frame(m1, m2)
+    raw: dict[int, float] = {}
+    k = 0.0
+    for a, va in m1.focal.items():
+        for b, vb in m2.focal.items():
+            c = a & b
+            if c:
+                raw[c] = raw.get(c, 0.0) + va * vb
+            else:
+                k += va * vb
+    return raw, k
 
 
 def _from_products(frame: FrameOfDiscernment, raw: dict[int, float]) -> MassFunction:

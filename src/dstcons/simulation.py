@@ -13,18 +13,12 @@ distinct runs share no state and can execute in parallel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import fsum
+from math import fsum, isfinite
 from typing import Sequence
 
 import numpy as np
 
-from .evidence import (
-    NoiseSpec,
-    QualityProfile,
-    default_qualities,
-    evidence_mass,
-    select_state,
-)
+from .evidence import default_qualities, evidence_mass, select_state
 from .mass import (
     FrameOfDiscernment,
     MassFunction,
@@ -33,7 +27,6 @@ from .mass import (
     bel,
     get_combiner,
     make_vacuous,
-    pl,
     renormalize,
 )
 
@@ -55,34 +48,40 @@ class SimConfig:
     seed: int = 0
     trajectory_stride: int = 0
     convergence_window: int = 100
-    evidence_first: bool = True
 
     def __post_init__(self) -> None:
         get_combiner(self.operator)
-        if self.n < 2:
-            raise ValueError(f"need n >= 2 states, got {self.n}")
-        min_k = 2 if self.consensus_enabled else 1
-        if self.k < min_k:
-            raise ValueError(f"need k >= {min_k} agents, got {self.k}")
+        check_count("n", self.n, 2)
+        check_count("k", self.k, 2 if self.consensus_enabled else 1)
+        check_count("max_iterations", self.max_iterations, 1)
+        check_count("convergence_window", self.convergence_window, 1)
+        check_count("trajectory_stride", self.trajectory_stride, 0)
+        check_count("seed", self.seed, 0)
         if not 0.0 <= self.r <= 1.0:
             raise ValueError(f"evidence rate must lie in [0, 1], got {self.r}")
-        if self.sigma < 0.0:
-            raise ValueError(f"noise sigma must be >= 0, got {self.sigma}")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.convergence_window < 1:
-            raise ValueError("convergence_window must be >= 1")
-        if self.trajectory_stride < 0:
-            raise ValueError("trajectory_stride must be >= 0 (0 disables recording)")
+        check_sigma(self.sigma)
+
+
+def check_count(name: str, value, minimum: int, error: type = ValueError) -> None:
+    """Reject a count that is not an integer (bools included) or is below ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise error(f"{name} must be >= {minimum}, got {value}")
+
+
+def check_sigma(sigma: float, error: type = ValueError) -> None:
+    """Reject a noise level that is negative or not finite."""
+    if not (isfinite(sigma) and sigma >= 0.0):
+        raise error(f"noise sigma must be finite and >= 0, got {sigma}")
 
 
 @dataclass
 class AgentPopulation:
-    """The k agents' current mass functions plus iteration bookkeeping."""
+    """The k agents' current mass functions and the count of skipped updates."""
 
     frame: FrameOfDiscernment
     agents: list[MassFunction]
-    iteration: int = 0
     dempster_skips: int = 0
 
 
@@ -109,26 +108,27 @@ def init_population(config: SimConfig) -> AgentPopulation:
 
 def evidence_step(
     pop: AgentPopulation,
-    profile: QualityProfile,
+    qualities: np.ndarray,
     config: SimConfig,
     rng: np.random.Generator,
 ) -> AgentPopulation:
     """One round of evidential updating; mutates and returns ``pop``.
 
     Each agent independently passes an evidence gate with probability ``r``,
-    selects a state from its pignistic distribution, and fuses the (noisy)
-    evidence mass into its belief.  A totally conflicting Dempster update is
-    skipped, leaving the agent unchanged.
+    selects a state ``s_i`` from its pignistic distribution, and fuses the
+    evidence mass for quality ``qualities[i - 1]`` plus Gaussian noise of
+    standard deviation ``sigma`` into its belief.  A totally conflicting
+    Dempster update is skipped, leaving the agent unchanged.
     """
     combine = get_combiner(config.operator)
     frame = pop.frame
     agents = pop.agents
-    noise = NoiseSpec(config.sigma)
     gates = rng.random(config.k)
     for idx in np.flatnonzero(gates < config.r):
         m = agents[idx]
         i = select_state(m, rng)
-        ev = evidence_mass(frame, i, profile.quality(i), noise.draw(rng))
+        epsilon = float(rng.standard_normal()) * config.sigma
+        ev = evidence_mass(frame, i, float(qualities[i - 1]), epsilon)
         try:
             updated = combine(m, ev)
         except TotalConflictError:
@@ -164,48 +164,38 @@ def consensus_step(
     return pop
 
 
-def check_convergence(
-    history: Sequence[Sequence[MassFunction]], eps: float = EPS_CONV
-) -> bool:
-    """True iff every agent is unchanged across every consecutive snapshot pair.
-
-    ``history`` holds population snapshots from consecutive iterations; pass
-    the last ``window + 1`` snapshots to test "unchanged for ``window``
-    iterations".
-    """
-    if len(history) < 2:
-        raise ValueError("need at least two snapshots to check convergence")
-    for earlier, later in zip(history, history[1:]):
-        for a, b in zip(earlier, later):
-            if a is not b and not approx_eq(a, b, eps):
-                return False
-    return True
-
-
 def population_mean_bel(agents: Sequence[MassFunction], subset: int) -> float:
     """Population mean of Bel(subset)."""
     return fsum(bel(m, subset) for m in agents) / len(agents)
 
 
-def population_mean_pl(agents: Sequence[MassFunction], subset: int) -> float:
-    """Population mean of Pl(subset)."""
-    return fsum(pl(m, subset) for m in agents) / len(agents)
+def population_means(agents: Sequence[MassFunction]) -> tuple[tuple[float, ...], float]:
+    """Population means of Bel({s_j}) for every state, and of Pl({s_n}).
+
+    Bel of a singleton is its own focal entry; Pl(s_n) sums the focal sets
+    that contain ``s_n``.
+    """
+    n = agents[0].frame.n
+    k = len(agents)
+    best = 1 << (n - 1)
+    bels = tuple(fsum(m.focal.get(1 << j, 0.0) for m in agents) / k for j in range(n))
+    pl_best = fsum(fsum(v for a, v in m.focal.items() if a & best) for m in agents) / k
+    return bels, pl_best
 
 
 def run(config: SimConfig) -> RunResult:
     """Execute a full run; deterministic given the config (including seed)."""
-    profile = default_qualities(config.n)
+    qualities = default_qualities(config.n)
     rng = np.random.default_rng(config.seed)
     pop = init_population(config)
-    frame = pop.frame
     stride = config.trajectory_stride
 
     sample_iters: list[int] = []
-    sample_bel: list[np.ndarray] = []
+    sample_bel: list[tuple[float, ...]] = []
     sample_pl: list[float] = []
 
     def record(t: int) -> None:
-        bels, pl_best = _population_means(pop.agents, frame)
+        bels, pl_best = population_means(pop.agents)
         sample_iters.append(t)
         sample_bel.append(bels)
         sample_pl.append(pl_best)
@@ -219,15 +209,9 @@ def run(config: SimConfig) -> RunResult:
     convergence_iteration: int | None = None
     t = 0
     for t in range(1, config.max_iterations + 1):
-        if config.evidence_first:
-            evidence_step(pop, profile, config, rng)
-            if config.consensus_enabled:
-                consensus_step(pop, config, rng)
-        else:
-            if config.consensus_enabled:
-                consensus_step(pop, config, rng)
-            evidence_step(pop, profile, config, rng)
-        pop.iteration = t
+        evidence_step(pop, qualities, config, rng)
+        if config.consensus_enabled:
+            consensus_step(pop, config, rng)
 
         agents = pop.agents
         unchanged = all(
@@ -260,20 +244,3 @@ def run(config: SimConfig) -> RunResult:
         dempster_skips=pop.dempster_skips,
     )
 
-
-def _population_means(
-    agents: Sequence[MassFunction], frame: FrameOfDiscernment
-) -> tuple[np.ndarray, float]:
-    # Bel of a singleton is just its own focal entry; Pl scans intersections.
-    n = frame.n
-    best = frame.singleton(n)
-    bels = np.zeros(n)
-    pl_best = 0.0
-    for m in agents:
-        for j in range(n):
-            bels[j] += m.focal.get(1 << j, 0.0)
-        for a, v in m.focal.items():
-            if a & best:
-                pl_best += v
-    k = len(agents)
-    return bels / k, pl_best / k

@@ -1,15 +1,27 @@
 """Brute-force reference implementations used only by the tests.
 
-Everything here works on dense vectors indexed by subset bitmask and loops
-over all (2^n - 1)^2 subset pairs, with no sparsity shortcuts and no reuse of
-the library's combination code, so it can serve as an independent oracle.
+The combination oracle works on dense vectors indexed by subset bitmask and
+loops over all (2^n - 1)^2 subset pairs, with no sparsity shortcuts and no
+reuse of the library's combination code, so it can serve as an independent
+oracle.  The spectral radius by repeated squaring and the windowed
+convergence check are second routes to what ``classify`` and ``run`` compute
+their own way.
 """
 
 from __future__ import annotations
 
+from math import exp, log
+from typing import Sequence
+
 import numpy as np
 
-from dstcons import FrameOfDiscernment, MassFunction, TotalConflictError
+from dstcons import (
+    EPS_CONV,
+    FrameOfDiscernment,
+    MassFunction,
+    TotalConflictError,
+    approx_eq,
+)
 
 
 def dense(m: MassFunction) -> np.ndarray:
@@ -90,3 +102,50 @@ def random_mass(
     weights = rng.random(subsets.size) + 1e-6
     weights /= weights.sum()
     return MassFunction(frame, {int(a): float(w) for a, w in zip(subsets, weights)})
+
+
+def spectral_radius_power(jac: np.ndarray, max_squarings: int = 64) -> float:
+    """Largest eigenvalue magnitude via normalized repeated squaring.
+
+    Tracks ``||J^(2^i)||`` in log space; the Gelfand limit ``||J^m||^(1/m)``
+    converges to the spectral radius for any matrix, including defective and
+    complex-spectrum cases that defeat single-vector power iteration.
+    """
+    b = np.asarray(jac, dtype=float)
+    norm = float(np.linalg.norm(b))
+    if norm == 0.0:
+        return 0.0
+    b = b / norm
+    log_scale = log(norm)
+    power = 1
+    estimate = exp(log_scale / power)
+    for _ in range(max_squarings):
+        b = b @ b
+        norm = float(np.linalg.norm(b))
+        if norm == 0.0:
+            return 0.0
+        b = b / norm
+        log_scale = 2.0 * log_scale + log(norm)
+        power *= 2
+        previous, estimate = estimate, exp(log_scale / power)
+        if abs(estimate - previous) <= 1e-13 * max(1.0, estimate):
+            break
+    return estimate
+
+
+def check_convergence(
+    history: Sequence[Sequence[MassFunction]], eps: float = EPS_CONV
+) -> bool:
+    """True iff every agent is unchanged across every consecutive snapshot pair.
+
+    ``history`` holds population snapshots from consecutive iterations; pass
+    the last ``window + 1`` snapshots to test "unchanged for ``window``
+    iterations".
+    """
+    if len(history) < 2:
+        raise ValueError("need at least two snapshots to check convergence")
+    for earlier, later in zip(history, history[1:]):
+        for a, b in zip(earlier, later):
+            if a is not b and not approx_eq(a, b, eps):
+                return False
+    return True

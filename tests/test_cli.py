@@ -2,9 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dstcons
 from dstcons.cli import cli_main
 
 SWEEP_CONFIG = """
@@ -191,3 +196,19 @@ def test_sweep_determinism_across_worker_counts(tmp_path):
             (out.read_bytes(), (tmp_path / f"{tag}_runs.csv").read_bytes())
         )
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("module", ["dstcons", "dstcons.cli"])
+def test_module_entry_point_runs_command(tmp_path, module):
+    src = str(Path(dstcons.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = tmp_path / "fixed.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "fixedpoints", "--states", "3", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert f"wrote {out}" in proc.stdout
+    with out.open() as fh:
+        assert len(list(csv.DictReader(fh))) == 4 * 4  # operators x candidates

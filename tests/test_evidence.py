@@ -1,4 +1,4 @@
-"""Tests for quality profiles, noisy evidence masses, and roulette selection."""
+"""Tests for quality values, noisy evidence masses, and roulette selection."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from dstcons import (
     FrameOfDiscernment,
     MassFunction,
-    NoiseSpec,
     bel,
     default_qualities,
     evidence_mass,
@@ -21,20 +20,20 @@ F3 = FrameOfDiscernment(3)
 
 class TestDefaultQualities:
     def test_n3(self):
-        np.testing.assert_allclose(default_qualities(3).qualities, [0.25, 0.5, 0.75])
+        np.testing.assert_allclose(default_qualities(3), [0.25, 0.5, 0.75])
 
     def test_n5(self):
         np.testing.assert_allclose(
-            default_qualities(5).qualities, [1 / 6, 1 / 3, 1 / 2, 2 / 3, 5 / 6]
+            default_qualities(5), [1 / 6, 1 / 3, 1 / 2, 2 / 3, 5 / 6]
         )
 
     def test_n10(self):
         np.testing.assert_allclose(
-            default_qualities(10).qualities, np.arange(1, 11) / 11
+            default_qualities(10), np.arange(1, 11) / 11
         )
 
     def test_best_state_is_last(self):
-        q = default_qualities(7).qualities
+        q = default_qualities(7)
         assert np.all(np.diff(q) > 0)
 
     def test_rejects_small_n(self):
@@ -74,22 +73,6 @@ class TestEvidenceMass:
         assert sum(m.focal.values()) == pytest.approx(1.0, abs=1e-12)
 
 
-class TestNoiseSpec:
-    def test_rejects_negative_sigma(self):
-        with pytest.raises(ValueError):
-            NoiseSpec(-0.1)
-
-    def test_zero_sigma_draws_zero(self):
-        rng = np.random.default_rng(0)
-        assert NoiseSpec(0.0).draw(rng) == 0.0
-
-    def test_scale(self):
-        rng = np.random.default_rng(0)
-        draws = np.array([NoiseSpec(0.3).draw(rng) for _ in range(20000)])
-        assert abs(draws.mean()) < 0.01
-        assert draws.std() == pytest.approx(0.3, abs=0.01)
-
-
 class TestSelectState:
     def test_degenerate_distribution(self):
         m = MassFunction(F3, {2: 1.0})
@@ -114,7 +97,7 @@ class TestSelectState:
         for _ in range(draws):
             counts[select_state(m, rng) - 1] += 1
         freqs = counts / draws
-        probs = pignistic(m).probs
+        probs = np.array(pignistic(m))
         sigma = np.sqrt(np.maximum(probs * (1 - probs), 1e-12) / draws)
         np.testing.assert_array_less(np.abs(freqs - probs), 3 * sigma + 1e-9)
 

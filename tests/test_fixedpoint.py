@@ -14,9 +14,9 @@ from dstcons import (
     numeric_jacobian,
     self_combine_residual,
     spectral_radius_eig,
-    spectral_radius_power,
 )
 from dstcons.fixedpoint import _self_image, perturbations_leave_simplex
+from oracle import spectral_radius_power
 
 F3 = FrameOfDiscernment(3)
 

@@ -1,7 +1,9 @@
 """Tests for sweep execution, aggregation, seed derivation, and file emission."""
 
 import csv
+import io
 import json
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -16,14 +18,15 @@ from dstcons import (
     summarize_convergence_time,
 )
 from dstcons.harness import (
+    CELL_KEY,
     Cell,
+    CellSummary,
     ConfigError,
     RunRecord,
     build_cells,
     mean_trajectory,
     parse_sweep_config,
     resolve_workers,
-    summary_rows,
     sweep_spec_from_config,
 )
 
@@ -52,6 +55,39 @@ GOLDEN_RUNS = (
     "dempster,3,5,0.5,0.1,true,0,17658260632472495053,true,61,11,0,1.0,1.0,0.0,0.0,1.0\n"
     "dempster,3,5,0.5,0.1,true,1,15997737177913257068,true,69,19,0,1.0,1.0,0.0,0.0,1.0\n"
 )
+
+# Every operator, two frame sizes, noise, evidence-only baselines and
+# unconverged runs (averaging never settles), so the pinned bytes see the
+# last bit of non-categorical means.  The files were written by the engine
+# as of the first golden capture; any change to them is a protocol change.
+MIXED_SPEC = SweepSpec(
+    operators=("average", "dempster", "dubois_prade", "yager"),
+    n_values=(3, 4),
+    k=6,
+    r_values=(0.3, 0.8),
+    sigma_values=(0.2,),
+    runs_per_cell=2,
+    max_iterations=150,
+    root_seed=2024,
+    baselines=True,
+    convergence_window=20,
+)
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+
+def full_precision_summary(summaries) -> str:
+    """Every CellSummary field, floats as ``repr``, one CSV row per cell."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(f.name for f in fields(CellSummary))
+    for s in summaries:
+        writer.writerow(
+            "" if v is None else repr(v) if isinstance(v, float) else str(v)
+            for v in astuple(s)
+        )
+    return out.getvalue()
+
 
 SMALL_SPEC = SweepSpec(
     operators=("dubois_prade", "average"),
@@ -120,6 +156,17 @@ class TestEmission:
         )
         assert summary_path.read_text() == GOLDEN_SUMMARY
         assert runs_path.read_text() == GOLDEN_RUNS
+
+    def test_mixed_golden_bytes(self, tmp_path):
+        sweep = run_sweep(MIXED_SPEC)
+        summary_path, runs_path = emit_csv(
+            sweep.summaries, tmp_path / "mixed.csv", sweep.records
+        )
+        assert summary_path.read_bytes() == (GOLDEN_DIR / "mixed.csv").read_bytes()
+        assert runs_path.read_bytes() == (GOLDEN_DIR / "mixed_runs.csv").read_bytes()
+        assert full_precision_summary(sweep.summaries) == (
+            GOLDEN_DIR / "mixed_summary_full.csv"
+        ).read_text()
 
     def test_empty_summaries_yield_header_only(self, tmp_path):
         (path,) = emit_csv([], tmp_path / "empty.csv")
@@ -264,6 +311,14 @@ class TestSummaryContents:
         for record in sweep.records:
             assert len(record.mean_bel) == record.n
 
+    def test_trajectory_ends_on_record_values(self):
+        # The last trajectory sample and the runs file describe the same
+        # final population, so they must agree to the last bit.
+        sweep = run_sweep(replace(MIXED_SPEC, trajectory_stride=7), keep_results=True)
+        for (_, _, result), record in zip(sweep.results, sweep.records):
+            assert tuple(result.trajectory_bel[-1].tolist()) == record.mean_bel
+            assert float(result.trajectory_pl_best[-1]) == record.mean_pl_best
+
 
 class TestMeanTrajectory:
     def test_grid_padding_holds_steady_state(self):
@@ -350,13 +405,44 @@ baselines = true
             sweep_spec_from_config("k = 10\n")
 
 
+class TestSpecValidation:
+    @pytest.mark.parametrize(
+        "field, values",
+        [
+            ("operators", ("yager", "dempster", "yager")),
+            ("n_values", (3, 3)),
+            ("r_values", (0.5, 0.5)),
+            ("sigma_values", (0.1, 0.2, 0.1)),
+        ],
+    )
+    def test_repeated_grid_values(self, field, values):
+        with pytest.raises(ConfigError, match=field):
+            SweepSpec(**{"operators": ("yager",), field: values})
+
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -0.1])
+    def test_bad_sigma(self, sigma):
+        with pytest.raises(ConfigError, match="sigma"):
+            SweepSpec(operators=("yager",), sigma_values=(0.1, sigma))
+
+    @pytest.mark.parametrize(
+        "field",
+        ["k", "n_values", "max_iterations", "convergence_window", "root_seed"],
+    )
+    @pytest.mark.parametrize("value", [3.5, 4.0, True, "4"])
+    def test_counts_must_be_integers(self, field, value):
+        if field == "n_values":
+            value = (value,)
+        with pytest.raises(ConfigError, match="integer"):
+            SweepSpec(operators=("yager",), **{field: value})
+
+
 class TestCells:
     def test_baseline_cells_added(self):
         spec = sweep_spec_from_config(TestConfigParsing.CONFIG)
         cells = build_cells(spec)
         assert len(cells) == 2 * 3 * 2  # operators x rates x consensus modes
         assert {c.consensus for c in cells} == {True, False}
-        assert cells == sorted(cells, key=Cell.sort_key)
+        assert cells == sorted(cells, key=CELL_KEY)
 
     def test_no_consensus_mode(self):
         spec = SweepSpec(operators=("yager",), consensus=False, k=1)

@@ -7,10 +7,8 @@ import dstcons.simulation as simulation
 from dstcons import (
     FrameOfDiscernment,
     MassFunction,
-    QualityProfile,
     SimConfig,
     approx_eq,
-    check_convergence,
     consensus_step,
     default_qualities,
     evidence_mass,
@@ -19,10 +17,11 @@ from dstcons import (
     init_population,
     make_vacuous,
     pignistic,
+    pl,
     population_mean_bel,
-    population_mean_pl,
     run,
 )
+from oracle import check_convergence
 
 F3 = FrameOfDiscernment(3)
 
@@ -50,13 +49,25 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SimConfig(operator="yager", sigma=-0.1)
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_sigma(self, sigma):
+        with pytest.raises(ValueError, match="sigma"):
+            SimConfig(operator="yager", sigma=sigma)
+
+    @pytest.mark.parametrize(
+        "field", ["k", "n", "max_iterations", "convergence_window", "seed"]
+    )
+    @pytest.mark.parametrize("value", [3.5, 4.0, True, "4"])
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SimConfig(operator="yager", **{field: value})
+
 
 class TestInitPopulation:
     def test_all_ignorant(self):
         pop = init_population(SimConfig(operator="dubois_prade", k=100, n=3))
         assert len(pop.agents) == 100
         assert all(m.focal == {7: 1.0} for m in pop.agents)
-        assert pop.iteration == 0
 
     def test_small(self):
         pop = init_population(SimConfig(operator="average", k=2, n=2))
@@ -81,13 +92,13 @@ class TestEvidenceStep:
             operator=op, k=1, n=3, r=1.0, sigma=0.0, consensus_enabled=False
         )
         pop = init_population(config)
-        profile = default_qualities(3)
-        evidence_step(pop, profile, config, np.random.default_rng(3))
+        qualities = default_qualities(3)
+        evidence_step(pop, qualities, config, np.random.default_rng(3))
         (m,) = pop.agents
         singletons = [a for a in m.focal if a.bit_count() == 1]
         assert len(singletons) == 1
         i = F3.members(singletons[0])[0]
-        q = profile.quality(i)
+        q = qualities[i - 1]
         assert m.focal[singletons[0]] == pytest.approx(q)
         assert m.focal[F3.full_set] == pytest.approx(1 - q)
 
@@ -98,12 +109,12 @@ class TestEvidenceStep:
             operator="average", k=1, n=3, r=1.0, sigma=0.0, consensus_enabled=False
         )
         pop = init_population(config)
-        profile = default_qualities(3)
-        evidence_step(pop, profile, config, np.random.default_rng(3))
+        qualities = default_qualities(3)
+        evidence_step(pop, qualities, config, np.random.default_rng(3))
         (m,) = pop.agents
         singletons = [a for a in m.focal if a.bit_count() == 1]
         assert len(singletons) == 1
-        q = profile.quality(F3.members(singletons[0])[0])
+        q = qualities[F3.members(singletons[0])[0] - 1]
         assert m.focal[singletons[0]] == pytest.approx(q / 2)
         assert m.focal[F3.full_set] == pytest.approx(1 - q / 2)
 
@@ -124,10 +135,41 @@ class TestEvidenceStep:
             operator="dempster", k=1, n=3, r=1.0, sigma=0.0, consensus_enabled=False
         )
         pop = _pop_of([MassFunction(F3, {1: 1.0})])
-        profile = QualityProfile(F3, np.array([0.5, 1.0, 0.5]))
-        evidence_step(pop, profile, config, np.random.default_rng(0))
+        qualities = np.array([0.5, 1.0, 0.5])
+        evidence_step(pop, qualities, config, np.random.default_rng(0))
         assert pop.agents[0].focal == {1: 1.0}
         assert pop.dempster_skips == 1
+
+    @staticmethod
+    def _noise_draws(monkeypatch, sigma, updates):
+        # Capture the epsilon evidence_step hands to evidence_mass.  r=1 opens
+        # every gate, and a fresh vacuous population each round keeps the
+        # updates free of total conflict.
+        seen = []
+        evidence_mass = simulation.evidence_mass
+
+        def capture(frame, i, q_i, epsilon=0.0):
+            seen.append(epsilon)
+            return evidence_mass(frame, i, q_i, epsilon)
+
+        monkeypatch.setattr(simulation, "evidence_mass", capture)
+        config = SimConfig(
+            operator="yager", k=100, n=3, r=1.0, sigma=sigma, consensus_enabled=False
+        )
+        rng = np.random.default_rng(0)
+        qualities = default_qualities(3)
+        while len(seen) < updates:
+            evidence_step(init_population(config), qualities, config, rng)
+        return np.array(seen)
+
+    def test_zero_sigma_draws_zero_epsilon(self, monkeypatch):
+        draws = self._noise_draws(monkeypatch, 0.0, 500)
+        assert np.all(draws == 0.0)
+
+    def test_noise_epsilon_scale(self, monkeypatch):
+        draws = self._noise_draws(monkeypatch, 0.3, 20000)
+        assert abs(draws.mean()) < 0.01
+        assert draws.std() == pytest.approx(0.3, abs=0.01)
 
 
 class TestConsensusStep:
@@ -233,11 +275,11 @@ class TestRun:
         result = run(config)
         assert result.converged
         combine = get_combiner(op)
-        profile = default_qualities(3)
+        qualities = default_qualities(3)
         for m in result.steady_state:
             assert approx_eq(m, combine(m, m), 1e-6)
-            i = int(np.argmax(pignistic(m).probs)) + 1
-            ev = evidence_mass(F3, i, profile.quality(i), 0.0)
+            i = int(np.argmax(pignistic(m))) + 1
+            ev = evidence_mass(F3, i, qualities[i - 1], 0.0)
             assert approx_eq(m, combine(m, ev), 1e-6)
 
     @pytest.mark.parametrize("op", ["dempster", "dubois_prade", "yager"])
@@ -248,7 +290,7 @@ class TestRun:
         for j in range(1, 4):
             subset = F3.singleton(j)
             mean_bel = population_mean_bel(result.steady_state, subset)
-            mean_pl = population_mean_pl(result.steady_state, subset)
+            mean_pl = np.mean([pl(m, subset) for m in result.steady_state])
             assert mean_bel == pytest.approx(mean_pl, abs=1e-6)
 
     def test_convergence_iteration_bounded(self):
@@ -270,12 +312,12 @@ class TestRun:
 
         rng = np.random.default_rng(config.seed)
         pop = init_population(config)
-        profile = default_qualities(config.n)
+        qualities = default_qualities(config.n)
         window = config.convergence_window
         snapshots = [pop.agents.copy()]
         detected = None
         for t in range(1, config.max_iterations + 1):
-            evidence_step(pop, profile, config, rng)
+            evidence_step(pop, qualities, config, rng)
             consensus_step(pop, config, rng)
             snapshots.append(pop.agents.copy())
             if len(snapshots) >= window + 1 and check_convergence(
