@@ -4,25 +4,24 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import chain
 from pathlib import Path
 
 from .fixedpoint import classify
 from .harness import (
     ALL_OPERATORS,
+    CONFIG_KEYS,
     FIGURE_PRESETS,
     _write_table,
     emit_csv,
     emit_trajectory,
     reproduce,
-    resolve_workers,
     run_sweep,
     sweep_spec_from_config,
     trajectory_rows,
 )
-from .mass import COMBINERS, FrameOfDiscernment, MassFunction, make_vacuous
+from .mass import FrameOfDiscernment, MassFunction
 from .simulation import SimConfig, population_means, run
-
-OPERATOR_CHOICES = sorted(COMBINERS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -36,7 +35,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="execute a single simulation run")
-    p_run.add_argument("--operator", required=True, choices=OPERATOR_CHOICES)
+    p_run.add_argument("--operator", required=True, choices=ALL_OPERATORS)
     p_run.add_argument("--states", type=int, default=3, help="number of states n")
     p_run.add_argument("--agents", type=int, default=100, help="population size k")
     p_run.add_argument("--evidence-rate", type=float, default=0.05, metavar="R")
@@ -73,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fixed = sub.add_parser("fixedpoints",
                              help="residual/stability report for candidate fixed points")
-    p_fixed.add_argument("--operator", choices=OPERATOR_CHOICES + ["all"], default="all")
+    p_fixed.add_argument("--operator", choices=(*ALL_OPERATORS, "all"), default="all")
     p_fixed.add_argument("--states", type=int, default=3)
     p_fixed.add_argument("--step", type=float, default=1e-6,
                          help="finite-difference step")
@@ -81,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fixed.add_argument("--format", choices=("csv", "json"), default="csv")
     p_fixed.set_defaults(func=_cmd_fixedpoints)
 
-    figures = ", ".join(f"{k}: {v}" for k, v in FIGURE_PRESETS.items())
+    figures = ", ".join(f"{k}: {v}" for k, (v, _) in FIGURE_PRESETS.items())
     p_repro = sub.add_parser("reproduce", help=f"canned experiments ({figures})")
     p_repro.add_argument("figure", choices=sorted(FIGURE_PRESETS))
     p_repro.add_argument("--runs", type=int, default=100, help="runs per cell")
@@ -131,16 +130,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     text = Path(args.config).read_text() if args.config else ""
-    overrides = {
-        "operators": _split(args.operator, str),
-        "n_values": _split(args.states, int),
-        "k": args.agents,
-        "r_values": _split(args.evidence_rate, float),
-        "sigma_values": _split(args.noise, float),
-        "runs_per_cell": args.runs,
-        "max_iterations": args.max_iterations,
-        "root_seed": args.seed,
-    }
+    lists = {"operators": args.operator, "n_values": args.states,
+             "r_values": args.evidence_rate, "sigma_values": args.noise}
+    overrides = {key: CONFIG_KEYS[key](value) for key, value in lists.items() if value is not None}
+    overrides.update(k=args.agents, runs_per_cell=args.runs,
+                     max_iterations=args.max_iterations, root_seed=args.seed)
     if args.no_consensus:
         overrides["consensus"] = False
     if args.baselines:
@@ -155,19 +149,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_fixedpoints(args: argparse.Namespace) -> int:
     operators = ALL_OPERATORS if args.operator == "all" else (args.operator,)
     frame = FrameOfDiscernment(args.states)
-    candidates = [
-        MassFunction(frame, {frame.singleton(i): 1.0}) for i in range(1, frame.n + 1)
-    ] + [make_vacuous(frame)]
     columns = ["operator", "subset", "residual", "spectral_radius",
                "classification", "boundary"]
     rows = []
     for operator in operators:
-        for mass in candidates:
-            report = classify(operator, mass, h=args.step)
-            subset = frame.subset_label(next(iter(mass.focal)))
+        # Candidates (singletons, then vacuous) are made one at a time, so a
+        # frame above the Jacobian's limit fails on the first, before n bitmasks exist.
+        for subset in chain(map(frame.singleton, range(1, frame.n + 1)), [frame.full_set]):
+            report = classify(operator, MassFunction(frame, {subset: 1.0}), h=args.step)
             rows.append(
-                [operator, subset, report.residual, report.spectral_radius,
-                 report.classification, report.boundary]
+                [operator, frame.subset_label(subset), report.residual,
+                 report.spectral_radius, report.classification, report.boundary]
             )
     _write_table(Path(args.out), columns, rows, args.format)
     print(f"wrote {args.out}")
@@ -175,25 +167,18 @@ def _cmd_fixedpoints(args: argparse.Namespace) -> int:
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
-    workers = resolve_workers(args.workers)
     written = reproduce(
         args.figure,
         args.out,
         runs=args.runs,
         root_seed=args.seed,
         max_iterations=args.max_iterations,
-        workers=workers,
+        workers=args.workers,
         fmt=args.format,
     )
     for path in written:
         print(f"wrote {path}")
     return 0
-
-
-def _split(value: str | None, cast):
-    if value is None:
-        return None
-    return tuple(cast(item.strip()) for item in str(value).split(",") if item.strip())
 
 
 def cli_main(argv: list[str] | None = None) -> int:

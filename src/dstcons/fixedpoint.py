@@ -16,18 +16,23 @@ the report flags them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
 from .mass import (
     MassFunction,
     TotalConflictError,
+    _conjunctive,
+    _dubois_prade_products,
     get_combiner,
 )
 
 EPS_FIX = 1e-10
 DELTA_STAB = 1e-3
 DEFAULT_STEP = 1e-6
+# Largest frame for the (2^n - 2)^2 Jacobian (128 MB at n = 12) and its eigvals.
+MAX_JACOBIAN_STATES = 12
 
 # Simplex-membership slack when validating polynomial-map inputs.
 _SIMPLEX_TOL = 1e-9
@@ -88,39 +93,28 @@ def dp_polynomial_map(x: np.ndarray) -> np.ndarray:
 def _self_image(operator: str, coords: np.ndarray, n: int) -> np.ndarray:
     """Self-combination image over all subsets, as a function of raw coordinates.
 
-    ``coords[a]`` is the mass on subset ``a`` (index 0 unused).  The formulas
-    are evaluated directly, so coordinates outside the simplex are permitted;
-    this is the polynomial (rational, for Dempster) extension of the
-    operators used by the finite-difference Jacobian.
+    ``coords[a]`` is the mass on subset ``a`` (index 0 unused).  The
+    operators' product loops are evaluated directly, with no renormalisation,
+    so coordinates outside the simplex are permitted; this is the polynomial
+    (rational, for Dempster) extension used by the finite-difference Jacobian.
     """
-    full = (1 << n) - 1
     if operator == "average":
         return coords.copy()
-    image = np.zeros(full + 1)
-    k = 0.0
-    dubois = operator == "dubois_prade"
-    for a in range(1, full + 1):
-        va = coords[a]
-        if va == 0.0:
-            continue
-        for b in range(1, full + 1):
-            vb = coords[b]
-            if vb == 0.0:
-                continue
-            c = a & b
-            p = va * vb
-            if c:
-                image[c] += p
-            elif dubois:
-                image[a | b] += p
-            else:
-                k += p
+    values = coords.tolist()
+    focal = {a: values[a] for a in range(1, len(values)) if values[a] != 0.0}
+    if operator == "dubois_prade":
+        raw, k = _dubois_prade_products(focal, focal), 0.0
+    else:
+        raw, k = _conjunctive(focal, focal)
+    if operator == "yager":
+        full = (1 << n) - 1
+        raw[full] = raw.get(full, 0.0) + k
+    image = np.zeros(len(values))
+    image[list(raw)] = list(raw.values())
     if operator == "dempster":
         if abs(1.0 - k) <= EPS_FIX:
             raise TotalConflictError(f"self-combination fully conflicts (K={k!r})")
         image /= 1.0 - k
-    elif operator == "yager":
-        image[full] += k
     return image
 
 
@@ -154,11 +148,16 @@ def numeric_jacobian(
 
     Free coordinates are the subsets in ascending index order with the
     universal set eliminated; a perturbation of coordinate ``j`` is absorbed
-    by the universal-set mass.  Size is ``(2^n - 2) x (2^n - 2)``.
+    by the universal-set mass.  Size is ``(2^n - 2) x (2^n - 2)``, so ``n`` is
+    capped at ``MAX_JACOBIAN_STATES``.
     """
-    if h <= 0.0:
-        raise ValueError(f"step must be positive, got {h}")
+    if not (h > 0.0 and isfinite(h)):
+        raise ValueError(f"step must be positive and finite, got {h}")
     n = m.frame.n
+    if n > MAX_JACOBIAN_STATES:
+        raise ValueError(
+            f"fixed-point analysis supports at most {MAX_JACOBIAN_STATES} states, got n={n}"
+        )
     x0 = _free_coords(m)
     d = x0.size
     jac = np.empty((d, d))
@@ -190,17 +189,11 @@ def classify(
     try:
         residual = self_combine_residual(operator, m)
     except TotalConflictError:
-        return FixedPointReport(
-            operator=operator,
-            mass=m,
-            residual=float("inf"),
-            is_fixed=False,
-            spectral_radius=float("inf"),
-            classification="not_fixed",
-            boundary=False,
-        )
-    jac = numeric_jacobian(operator, m, h)
-    rho = spectral_radius_eig(jac)
+        residual = rho = float("inf")
+        boundary = False
+    else:
+        rho = spectral_radius_eig(numeric_jacobian(operator, m, h))
+        boundary = perturbations_leave_simplex(m, h)
     is_fixed = residual <= eps_fix
     if not is_fixed:
         classification = "not_fixed"
@@ -217,5 +210,5 @@ def classify(
         is_fixed=is_fixed,
         spectral_radius=rho,
         classification=classification,
-        boundary=perturbations_leave_simplex(m, h),
+        boundary=boundary,
     )

@@ -21,6 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .mass import COMBINERS
 from .simulation import (
     RunResult,
     SimConfig,
@@ -75,12 +76,9 @@ class SweepSpec:
     trajectory_stride: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "operators", tuple(self.operators))
-        object.__setattr__(self, "n_values", tuple(self.n_values))
-        object.__setattr__(self, "r_values", tuple(self.r_values))
-        object.__setattr__(self, "sigma_values", tuple(self.sigma_values))
         for name in ("operators", "n_values", "r_values", "sigma_values"):
-            values = getattr(self, name)
+            values = tuple(getattr(self, name))
+            object.__setattr__(self, name, values)
             if not values:
                 raise ConfigError(f"{name} must be non-empty")
             if len(set(values)) != len(values):
@@ -251,7 +249,10 @@ def resolve_workers(workers: int | None = None) -> int:
     """Explicit argument, else the DSTCONS_WORKERS env var, else 1."""
     if workers is None:
         env = os.environ.get(WORKERS_ENV_VAR)
-        workers = int(env) if env else 1
+        try:
+            workers = int(env) if env else 1
+        except ValueError:
+            raise ConfigError(f"{WORKERS_ENV_VAR} must be an integer, got {env!r}") from None
     if workers < 1:
         raise ConfigError(f"worker count must be >= 1, got {workers}")
     return workers
@@ -513,24 +514,6 @@ def mean_trajectory(
 # Sweep config files: flat key = value lines, lists comma-separated
 # ---------------------------------------------------------------------------
 
-_LIST_STR = "list_str"
-_LIST_INT = "list_int"
-_LIST_FLOAT = "list_float"
-
-CONFIG_KEYS = {
-    "operators": _LIST_STR,
-    "n_values": _LIST_INT,
-    "k": int,
-    "r_values": _LIST_FLOAT,
-    "sigma_values": _LIST_FLOAT,
-    "runs_per_cell": int,
-    "max_iterations": int,
-    "root_seed": int,
-    "baselines": bool,
-    "consensus": bool,
-    "convergence_window": int,
-}
-
 
 def _parse_bool(text: str) -> bool:
     lowered = text.strip().lower()
@@ -539,6 +522,27 @@ def _parse_bool(text: str) -> bool:
     if lowered in ("false", "no", "0"):
         return False
     raise ConfigError(f"expected a boolean, got {text!r}")
+
+
+def _comma_list(cast):
+    """Parser of a comma-separated list of ``cast`` values; blank items are skipped."""
+    return lambda text: tuple(cast(item.strip()) for item in text.split(",") if item.strip())
+
+
+# Config key -> parser of its value text.
+CONFIG_KEYS = {
+    "operators": _comma_list(str),
+    "n_values": _comma_list(int),
+    "k": int,
+    "r_values": _comma_list(float),
+    "sigma_values": _comma_list(float),
+    "runs_per_cell": int,
+    "max_iterations": int,
+    "root_seed": int,
+    "baselines": _parse_bool,
+    "consensus": _parse_bool,
+    "convergence_window": int,
+}
 
 
 def parse_sweep_config(text: str) -> dict:
@@ -557,18 +561,8 @@ def parse_sweep_config(text: str) -> dict:
             raise ConfigError(f"line {line_no}: unknown config key {key!r}")
         if key in values:
             raise ConfigError(f"line {line_no}: duplicate config key {key!r}")
-        kind = CONFIG_KEYS[key]
         try:
-            if kind is _LIST_STR:
-                values[key] = tuple(item.strip() for item in value.split(",") if item.strip())
-            elif kind is _LIST_INT:
-                values[key] = tuple(int(item) for item in value.split(",") if item.strip())
-            elif kind is _LIST_FLOAT:
-                values[key] = tuple(float(item) for item in value.split(",") if item.strip())
-            elif kind is bool:
-                values[key] = _parse_bool(value)
-            else:
-                values[key] = kind(value)
+            values[key] = CONFIG_KEYS[key](value)
         except ValueError as exc:
             raise ConfigError(f"line {line_no}: bad value for {key!r}: {exc}") from None
     return values
@@ -591,17 +585,35 @@ def sweep_spec_from_config(text: str, overrides: dict | None = None) -> SweepSpe
 # Canned experiment grids
 # ---------------------------------------------------------------------------
 
-ALL_OPERATORS = ("average", "dempster", "dubois_prade", "yager")
+ALL_OPERATORS = tuple(sorted(COMBINERS))
 FINE_R_GRID = (0.0005, 0.001, 0.002, 0.004, 0.006, 0.008, 0.01)
 COARSE_R_GRID = (0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 1.0)
 SIGMA_GRID = (0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3)
 
+# figure -> (description, SweepSpec fields beyond those every preset shares)
 FIGURE_PRESETS = {
-    "fig1": "belief trajectories for all operators (n=3, r=0.05, sigma=0.1)",
-    "fig2": "steady-state belief vs evidence rate, with evidence-only baselines",
-    "fig3": "cross-run standard deviation vs evidence rate (r <= 0.5)",
-    "fig4": "steady-state belief vs noise level for r in {0.01, 0.05, 0.1}",
-    "fig5": "scalability: belief in the best state for n in {3, 5, 10}",
+    "fig1": (
+        "belief trajectories for all operators (n=3, r=0.05, sigma=0.1)",
+        dict(r_values=(0.05,), sigma_values=(0.1,), trajectory_stride=10),
+    ),
+    "fig2": (
+        "steady-state belief vs evidence rate, with evidence-only baselines",
+        dict(r_values=FINE_R_GRID + COARSE_R_GRID, sigma_values=(0.1,), baselines=True),
+    ),
+    "fig3": (
+        "cross-run standard deviation vs evidence rate (r <= 0.5)",
+        dict(r_values=tuple(r for r in FINE_R_GRID + COARSE_R_GRID if r <= 0.5),
+             sigma_values=(0.1,), baselines=True),
+    ),
+    "fig4": (
+        "steady-state belief vs noise level for r in {0.01, 0.05, 0.1}",
+        dict(r_values=(0.01, 0.05, 0.1), sigma_values=SIGMA_GRID),
+    ),
+    "fig5": (
+        "scalability: belief in the best state for n in {3, 5, 10}",
+        dict(operators=("dubois_prade", "yager"), n_values=(3, 5, 10),
+             r_values=(0.05,), sigma_values=SIGMA_GRID),
+    ),
 }
 
 
@@ -609,55 +621,15 @@ def preset_spec(
     figure: str, runs: int = 100, root_seed: int = 0, max_iterations: int = 5000
 ) -> SweepSpec:
     """The sweep grid behind each canned experiment."""
-    common = dict(
-        k=100, runs_per_cell=runs, max_iterations=max_iterations, root_seed=root_seed
+    if figure not in FIGURE_PRESETS:
+        raise ConfigError(
+            f"unknown figure {figure!r}; expected one of {sorted(FIGURE_PRESETS)}"
+        )
+    shared = dict(
+        operators=ALL_OPERATORS, n_values=(3,), k=100, runs_per_cell=runs,
+        max_iterations=max_iterations, root_seed=root_seed,
     )
-    if figure == "fig1":
-        return SweepSpec(
-            operators=ALL_OPERATORS,
-            n_values=(3,),
-            r_values=(0.05,),
-            sigma_values=(0.1,),
-            trajectory_stride=10,
-            **common,
-        )
-    if figure == "fig2":
-        return SweepSpec(
-            operators=ALL_OPERATORS,
-            n_values=(3,),
-            r_values=FINE_R_GRID + COARSE_R_GRID,
-            sigma_values=(0.1,),
-            baselines=True,
-            **common,
-        )
-    if figure == "fig3":
-        return SweepSpec(
-            operators=ALL_OPERATORS,
-            n_values=(3,),
-            r_values=tuple(r for r in FINE_R_GRID + COARSE_R_GRID if r <= 0.5),
-            sigma_values=(0.1,),
-            baselines=True,
-            **common,
-        )
-    if figure == "fig4":
-        return SweepSpec(
-            operators=ALL_OPERATORS,
-            n_values=(3,),
-            r_values=(0.01, 0.05, 0.1),
-            sigma_values=SIGMA_GRID,
-            **common,
-        )
-    if figure == "fig5":
-        return SweepSpec(
-            operators=("dubois_prade", "yager"),
-            n_values=(3, 5, 10),
-            r_values=(0.05,),
-            sigma_values=SIGMA_GRID,
-            **common,
-        )
-    raise ConfigError(
-        f"unknown figure {figure!r}; expected one of {sorted(FIGURE_PRESETS)}"
-    )
+    return SweepSpec(**{**shared, **FIGURE_PRESETS[figure][1]})
 
 
 def reproduce(

@@ -143,7 +143,8 @@ def pignistic(m: MassFunction) -> list[float]:
 
 def conflict(m1: MassFunction, m2: MassFunction) -> float:
     """The conflict K: total product mass landing on disjoint focal pairs."""
-    return _conjunctive(m1, m2)[1]
+    _check_same_frame(m1, m2)
+    return _conjunctive(m1.focal, m2.focal)[1]
 
 
 def combine_dempster(m1: MassFunction, m2: MassFunction) -> MassFunction:
@@ -152,7 +153,8 @@ def combine_dempster(m1: MassFunction, m2: MassFunction) -> MassFunction:
     Raises :class:`TotalConflictError` when K = 1 (within ``EPS_NORM``); the
     consensus protocol treats that case as a skipped interaction.
     """
-    raw, k = _conjunctive(m1, m2)
+    _check_same_frame(m1, m2)
+    raw, k = _conjunctive(m1.focal, m2.focal)
     if k >= 1.0 - EPS_NORM:
         raise TotalConflictError(f"total conflict between operands (K={k!r})")
     return _from_products(m1.frame, raw)
@@ -161,19 +163,13 @@ def combine_dempster(m1: MassFunction, m2: MassFunction) -> MassFunction:
 def combine_dubois_prade(m1: MassFunction, m2: MassFunction) -> MassFunction:
     """Dubois & Prade's rule: disjoint products go to the union instead of being rescaled."""
     _check_same_frame(m1, m2)
-    raw: dict[int, float] = {}
-    for a, va in m1.focal.items():
-        for b, vb in m2.focal.items():
-            c = a & b
-            if not c:
-                c = a | b
-            raw[c] = raw.get(c, 0.0) + va * vb
-    return _from_products(m1.frame, raw)
+    return _from_products(m1.frame, _dubois_prade_products(m1.focal, m2.focal))
 
 
 def combine_yager(m1: MassFunction, m2: MassFunction) -> MassFunction:
     """Yager's rule: all conflicting mass is reallocated to the universal set."""
-    raw, k = _conjunctive(m1, m2)
+    _check_same_frame(m1, m2)
+    raw, k = _conjunctive(m1.focal, m2.focal)
     if k > 0.0:
         full = m1.frame.full_set
         raw[full] = raw.get(full, 0.0) + k
@@ -253,19 +249,32 @@ def _check_same_frame(m1: MassFunction, m2: MassFunction) -> None:
         raise ValueError(f"frame mismatch: n={m1.frame.n} vs n={m2.frame.n}")
 
 
-def _conjunctive(m1: MassFunction, m2: MassFunction) -> tuple[dict[int, float], float]:
+# The operators' pairwise product loops, on plain {subset: mass} mappings of
+# any sign: the fixed-point analysis evaluates them off the simplex too.
+def _conjunctive(f1: Mapping, f2: Mapping) -> tuple[dict[int, float], float]:
     """Intersection products by subset, and the conflict K of disjoint pairs."""
-    _check_same_frame(m1, m2)
     raw: dict[int, float] = {}
     k = 0.0
-    for a, va in m1.focal.items():
-        for b, vb in m2.focal.items():
+    for a, va in f1.items():
+        for b, vb in f2.items():
             c = a & b
             if c:
                 raw[c] = raw.get(c, 0.0) + va * vb
             else:
                 k += va * vb
     return raw, k
+
+
+def _dubois_prade_products(f1: Mapping, f2: Mapping) -> dict[int, float]:
+    """Products by intersection, or by union for disjoint pairs (no conflict left)."""
+    raw: dict[int, float] = {}
+    for a, va in f1.items():
+        for b, vb in f2.items():
+            c = a & b
+            if not c:
+                c = a | b
+            raw[c] = raw.get(c, 0.0) + va * vb
+    return raw
 
 
 def _from_products(frame: FrameOfDiscernment, raw: dict[int, float]) -> MassFunction:

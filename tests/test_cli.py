@@ -162,6 +162,31 @@ def test_fixedpoints_single_operator(tmp_path):
     assert {r["operator"] for r in rows} == {"yager"}
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--states", "13"], "at most 12 states"),
+        (["--step", "nan"], "step must be positive and finite, got nan"),
+        (["--step", "inf"], "step must be positive and finite, got inf"),
+    ],
+)
+def test_fixedpoints_rejects_unbounded_inputs(tmp_path, capsys, flags, message):
+    out = tmp_path / "fp.csv"
+    status = cli_main(["fixedpoints", *flags, "--out", str(out)])
+    assert status == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_bad_workers_env_var_is_usage_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("DSTCONS_WORKERS", "abc")
+    out = tmp_path / "s.csv"
+    status = cli_main(["sweep", "--operator", "yager", "--runs", "1", "--out", str(out)])
+    assert status == 2
+    assert "DSTCONS_WORKERS must be an integer, got 'abc'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_reproduce_fig1_writes_trajectory(tmp_path):
     status = cli_main(
         ["reproduce", "fig1", "--runs", "1", "--max-iterations", "60",

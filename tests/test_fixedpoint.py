@@ -1,11 +1,17 @@
 """Tests for self-combination residuals, the n=3 polynomial map, and stability."""
 
+import csv
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from dstcons import (
+    COMBINERS,
     FrameOfDiscernment,
     MassFunction,
+    TotalConflictError,
     classify,
     combine_dubois_prade,
     dp_polynomial_map,
@@ -15,10 +21,24 @@ from dstcons import (
     self_combine_residual,
     spectral_radius_eig,
 )
-from dstcons.fixedpoint import _self_image, perturbations_leave_simplex
-from oracle import spectral_radius_power
+from dstcons.fixedpoint import (
+    MAX_JACOBIAN_STATES,
+    _self_image,
+    perturbations_leave_simplex,
+)
+from oracle import combine_dense, spectral_radius_power
 
 F3 = FrameOfDiscernment(3)
+
+# Every operator x CLI candidate (singletons, then vacuous) at these frame
+# sizes, with floats at repr precision and a hash of the Jacobian's bytes, so
+# a last-bit change anywhere in the fixed-point analysis shows.
+GOLDEN_FIXEDPOINTS = Path(__file__).parent / "golden" / "fixedpoints.csv"
+GOLDEN_FIXEDPOINT_STATES = (2, 3, 5, 8)
+GOLDEN_FIXEDPOINT_COLUMNS = (
+    "n", "operator", "subset", "residual", "spectral_radius", "classification",
+    "boundary", "jacobian_sha256",
+)
 
 # dp_polynomial_map coordinate order: {s1},{s2},{s3},{s1,s2},{s1,s3},{s2,s3};
 # the matching subset bitmasks.
@@ -30,6 +50,34 @@ def _random_simplex_mass(rng, frame):
     return MassFunction(
         frame, {a: float(w[a - 1]) for a in range(1, frame.full_set + 1) if w[a - 1] > 0}
     )
+
+
+def fixed_point_golden_rows():
+    rows = []
+    for n in GOLDEN_FIXEDPOINT_STATES:
+        frame = FrameOfDiscernment(n)
+        candidates = [
+            MassFunction(frame, {frame.singleton(i): 1.0}) for i in range(1, n + 1)
+        ] + [make_vacuous(frame)]
+        for op in sorted(COMBINERS):
+            for m in candidates:
+                report = classify(op, m)
+                jac = numeric_jacobian(op, m)
+                rows.append([
+                    str(n), op, frame.subset_label(next(iter(m.focal))),
+                    repr(report.residual), repr(report.spectral_radius),
+                    report.classification, str(report.boundary),
+                    hashlib.sha256(jac.tobytes()).hexdigest(),
+                ])
+    return rows
+
+
+def write_fixed_point_golden(path=GOLDEN_FIXEDPOINTS):
+    """Regenerate the golden file (only for a declared change to the analysis)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(GOLDEN_FIXEDPOINT_COLUMNS)
+        writer.writerows(fixed_point_golden_rows())
 
 
 def _mass_from_dp_coords(x):
@@ -102,6 +150,28 @@ class TestImageExtension:
             for a in range(1, 8):
                 assert image[a] == pytest.approx(expected.focal.get(a, 0.0), abs=1e-12)
 
+    @pytest.mark.parametrize("op", ["dempster", "dubois_prade", "yager", "average"])
+    def test_matches_dense_oracle_off_simplex(self, op):
+        # The oracle shares no code with the library, and the draws have
+        # negative entries and totals away from 1, so this pins the polynomial
+        # extension itself, bit for bit.
+        rng = np.random.default_rng(2718)
+        checked = skipped = 0
+        for n in (2, 3, 4):
+            for _ in range(200):
+                coords = rng.uniform(-0.6, 1.0, size=1 << n)
+                coords[rng.random(coords.size) < 0.25] = 0.0
+                coords[0] = 0.0
+                assert np.any(coords < 0.0) or abs(coords.sum() - 1.0) > 1e-9
+                try:
+                    expected = combine_dense(op, coords, coords, n)
+                except TotalConflictError:
+                    skipped += 1
+                    continue
+                np.testing.assert_array_equal(_self_image(op, coords, n), expected)
+                checked += 1
+        assert checked >= 3 * skipped
+
 
 class TestJacobian:
     def test_dubois_prade_categorical_is_contractive(self):
@@ -136,6 +206,17 @@ class TestJacobian:
     def test_rejects_nonpositive_step(self):
         with pytest.raises(ValueError):
             numeric_jacobian("yager", make_vacuous(F3), h=0.0)
+
+    @pytest.mark.parametrize("h", [float("nan"), float("inf")])
+    def test_rejects_non_finite_step(self, h):
+        with pytest.raises(ValueError, match="step"):
+            numeric_jacobian("yager", make_vacuous(F3), h=h)
+
+    def test_rejects_frames_above_the_limit(self):
+        # Raised before the (2^n - 2)^2 matrix is allocated.
+        frame = FrameOfDiscernment(MAX_JACOBIAN_STATES + 1)
+        with pytest.raises(ValueError, match=f"at most {MAX_JACOBIAN_STATES} states"):
+            numeric_jacobian("average", make_vacuous(frame))
 
 
 class TestSpectralRadiusTwoWays:
@@ -206,3 +287,11 @@ class TestClassify:
         assert not perturbations_leave_simplex(m)
         report = classify("yager", m)
         assert not report.boundary
+
+
+class TestGoldenFixedPoints:
+    def test_reports_and_jacobians_match_golden(self):
+        with GOLDEN_FIXEDPOINTS.open(newline="") as fh:
+            golden = list(csv.reader(fh))
+        assert golden[0] == list(GOLDEN_FIXEDPOINT_COLUMNS)
+        assert fixed_point_golden_rows() == golden[1:]

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from dstcons import (
+    COMBINERS,
     SweepSpec,
     derive_seed,
     emit_csv,
@@ -18,7 +19,9 @@ from dstcons import (
     summarize_convergence_time,
 )
 from dstcons.harness import (
+    ALL_OPERATORS,
     CELL_KEY,
+    OPERATOR_IDS,
     Cell,
     CellSummary,
     ConfigError,
@@ -106,6 +109,12 @@ class TestSeedDerivation:
     def test_pinned_values(self):
         assert derive_seed(42, "dempster", 3, 0, 0, True, 0) == 17658260632472495053
         assert derive_seed(42, "dempster", 3, 0, 0, True, 1) == 15997737177913257068
+
+    def test_every_operator_has_a_pinned_id(self):
+        # Sweeps take their operators from COMBINERS and their seeds from the
+        # pinned OPERATOR_IDS, so the two must name the same operators.
+        assert set(OPERATOR_IDS) == set(COMBINERS)
+        assert ALL_OPERATORS == tuple(sorted(OPERATOR_IDS))
 
     def test_every_index_matters(self):
         base = derive_seed(1, "yager", 3, 0, 0, True, 0)
@@ -465,6 +474,11 @@ class TestWorkers:
     def test_rejects_nonpositive(self):
         with pytest.raises(ConfigError):
             resolve_workers(0)
+
+    def test_non_integer_env_var_is_named(self, monkeypatch):
+        monkeypatch.setenv("DSTCONS_WORKERS", "abc")
+        with pytest.raises(ConfigError, match="DSTCONS_WORKERS.*'abc'"):
+            resolve_workers(None)
 
 
 class TestPresets:
