@@ -12,6 +12,7 @@ from .harness import (
     ALL_OPERATORS,
     CONFIG_KEYS,
     FIGURE_PRESETS,
+    FORMATS,
     _write_table,
     emit_csv,
     emit_trajectory,
@@ -47,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--stride", type=int, default=1,
                        help="trajectory sampling interval (0 disables the file)")
     p_run.add_argument("--out", default="trajectory.csv")
-    p_run.add_argument("--format", choices=("csv", "json"), default="csv")
+    p_run.add_argument("--format", choices=FORMATS, default="csv")
     p_run.set_defaults(func=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run a Monte Carlo sweep over a parameter grid")
@@ -67,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--workers", type=int, default=None,
                          help="parallel worker processes (default: DSTCONS_WORKERS or 1)")
     p_sweep.add_argument("--out", default="sweep.csv")
-    p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
+    p_sweep.add_argument("--format", choices=FORMATS, default="csv")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_fixed = sub.add_parser("fixedpoints",
@@ -77,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fixed.add_argument("--step", type=float, default=1e-6,
                          help="finite-difference step")
     p_fixed.add_argument("--out", default="fixedpoints.csv")
-    p_fixed.add_argument("--format", choices=("csv", "json"), default="csv")
+    p_fixed.add_argument("--format", choices=FORMATS, default="csv")
     p_fixed.set_defaults(func=_cmd_fixedpoints)
 
     figures = ", ".join(f"{k}: {v}" for k, (v, _) in FIGURE_PRESETS.items())
@@ -88,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_repro.add_argument("--max-iterations", type=int, default=5000)
     p_repro.add_argument("--workers", type=int, default=None)
     p_repro.add_argument("--out", default="reproduction", help="output directory")
-    p_repro.add_argument("--format", choices=("csv", "json"), default="csv")
+    p_repro.add_argument("--format", choices=FORMATS, default="csv")
     p_repro.set_defaults(func=_cmd_reproduce)
 
     return parser

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mass import FrameOfDiscernment, MassFunction, make_vacuous, pignistic
+from .mass import FrameOfDiscernment, MassFunction, check_count, make_vacuous, pignistic
 
 
 def default_qualities(n: int) -> np.ndarray:
@@ -17,8 +17,7 @@ def default_qualities(n: int) -> np.ndarray:
 
     Entry ``i - 1`` is the quality of state ``s_i``.
     """
-    if not isinstance(n, int) or n < 2:
-        raise ValueError(f"need n >= 2 states, got n={n}")
+    check_count("n", n, 2)
     return np.arange(1, n + 1) / (n + 1)
 
 

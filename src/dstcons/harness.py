@@ -14,6 +14,7 @@ import csv
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import suppress
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
@@ -21,16 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .mass import COMBINERS
-from .simulation import (
-    RunResult,
-    SimConfig,
-    check_count,
-    check_sigma,
-    population_mean_bel,
-    population_means,
-    run,
-)
+from .mass import COMBINERS, check_count
+from .simulation import RunResult, SimConfig, population_mean_bel, population_means, run
 
 WORKERS_ENV_VAR = "DSTCONS_WORKERS"
 
@@ -40,6 +33,8 @@ OPERATOR_IDS = {"dempster": 0, "dubois_prade": 1, "yager": 2, "average": 3}
 # The grid coordinates of a cell; cells, summaries and runs are ordered by them.
 CELL_FIELDS = ("operator", "n", "r", "sigma", "consensus")
 CELL_KEY = attrgetter(*CELL_FIELDS)
+
+FORMATS = ("csv", "json")
 
 # Columns of the summary file (CellSummary attributes) and the leading
 # columns of the runs file (RunRecord attributes; bel_s1..bel_sN follow).
@@ -83,24 +78,13 @@ class SweepSpec:
                 raise ConfigError(f"{name} must be non-empty")
             if len(set(values)) != len(values):
                 raise ConfigError(f"{name} has repeated values: {values}")
-        for op in self.operators:
-            if op not in OPERATOR_IDS:
-                raise ConfigError(
-                    f"unknown operator {op!r}; expected one of {sorted(OPERATOR_IDS)}"
-                )
-        for n in self.n_values:
-            check_count("state count n", n, 2, ConfigError)
-        for r in self.r_values:
-            if not 0.0 <= r <= 1.0:
-                raise ConfigError(f"evidence rates must lie in [0, 1], got {r}")
-        for sigma in self.sigma_values:
-            check_sigma(sigma, ConfigError)
-        check_count("k", self.k, 2 if True in self.consensus_modes() else 1, ConfigError)
-        check_count("runs_per_cell", self.runs_per_cell, 1, ConfigError)
-        check_count("max_iterations", self.max_iterations, 1, ConfigError)
-        check_count("convergence_window", self.convergence_window, 1, ConfigError)
-        check_count("trajectory_stride", self.trajectory_stride, 0, ConfigError)
-        check_count("root_seed", self.root_seed, 0, ConfigError)
+        # Every run parameter is checked by SimConfig, on each cell's config.
+        try:
+            check_count("runs_per_cell", self.runs_per_cell, 1)
+            for cell in _grid(self):
+                _config(self, cell, self.root_seed)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     def consensus_modes(self) -> tuple[bool, ...]:
         if not self.consensus:
@@ -207,9 +191,8 @@ def derive_seed(
     return int(np.random.SeedSequence(entropy).generate_state(1, dtype=np.uint64)[0])
 
 
-def build_cells(spec: SweepSpec) -> list[Cell]:
-    """All grid points, sorted by (operator, n, r, sigma, consensus)."""
-    cells = [
+def _grid(spec: SweepSpec) -> list[Cell]:
+    return [
         Cell(op, n, r, sigma, consensus, r_index, sigma_index)
         for op in spec.operators
         for n in spec.n_values
@@ -217,8 +200,11 @@ def build_cells(spec: SweepSpec) -> list[Cell]:
         for sigma_index, sigma in enumerate(spec.sigma_values)
         for consensus in spec.consensus_modes()
     ]
-    cells.sort(key=CELL_KEY)
-    return cells
+
+
+def build_cells(spec: SweepSpec) -> list[Cell]:
+    """All grid points, sorted by (operator, n, r, sigma, consensus)."""
+    return sorted(_grid(spec), key=CELL_KEY)
 
 
 def cell_config(spec: SweepSpec, cell: Cell, run_index: int) -> SimConfig:
@@ -231,6 +217,10 @@ def cell_config(spec: SweepSpec, cell: Cell, run_index: int) -> SimConfig:
         cell.consensus,
         run_index,
     )
+    return _config(spec, cell, seed)
+
+
+def _config(spec: SweepSpec, cell: Cell, seed: int) -> SimConfig:
     return SimConfig(
         operator=cell.operator,
         k=spec.k,
@@ -247,14 +237,15 @@ def cell_config(spec: SweepSpec, cell: Cell, run_index: int) -> SimConfig:
 
 def resolve_workers(workers: int | None = None) -> int:
     """Explicit argument, else the DSTCONS_WORKERS env var, else 1."""
+    name = "worker count"
     if workers is None:
-        env = os.environ.get(WORKERS_ENV_VAR)
-        try:
-            workers = int(env) if env else 1
-        except ValueError:
-            raise ConfigError(f"{WORKERS_ENV_VAR} must be an integer, got {env!r}") from None
-    if workers < 1:
-        raise ConfigError(f"worker count must be >= 1, got {workers}")
+        name, workers = WORKERS_ENV_VAR, os.environ.get(WORKERS_ENV_VAR) or "1"
+        with suppress(ValueError):
+            workers = int(workers)  # text that is not an integer is refused below
+    try:
+        check_count(name, workers, 1)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return workers
 
 
@@ -400,6 +391,11 @@ def _sibling(path: Path, tag: str) -> Path:
     return path.with_name(path.stem + "_" + tag + path.suffix)
 
 
+def _check_format(fmt: str) -> None:
+    if fmt not in FORMATS:
+        raise ConfigError(f"unknown output format {fmt!r}; expected csv or json")
+
+
 def _write_table(
     path: Path,
     columns: Sequence[str],
@@ -409,6 +405,7 @@ def _write_table(
 ) -> None:
     # Per-run files keep full float precision so aggregates can be recomputed
     # exactly; summary/trajectory files round to 6 significant digits.
+    _check_format(fmt)
     path.parent.mkdir(parents=True, exist_ok=True)
     if fmt == "json":
         payload = [
@@ -435,8 +432,6 @@ def emit_csv(
     Floats carry 6 significant digits; rows are sorted by (operator, n, r,
     sigma).  With ``fmt="json"`` the same tables are written as JSON arrays.
     """
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"unknown output format {fmt!r}; expected csv or json")
     path = Path(path)
     written = [path]
     rows = [
@@ -643,8 +638,9 @@ def reproduce(
 ) -> list[Path]:
     """Run one canned experiment and write its summary/runs (and trajectory) files."""
     spec = preset_spec(figure, runs=runs, root_seed=root_seed, max_iterations=max_iterations)
+    _check_format(fmt)
     out_dir = Path(out_dir)
-    suffix = ".json" if fmt == "json" else ".csv"
+    suffix = "." + fmt
     keep = figure == "fig1"
     sweep = run_sweep(spec, workers=workers, keep_results=keep)
     written = emit_csv(

@@ -25,6 +25,17 @@ class TotalConflictError(Exception):
     """Dempster's rule is undefined: the two mass functions fully conflict (K = 1)."""
 
 
+def check_count(name: str, value, minimum: int) -> None:
+    """Reject a count that is not a Python ``int`` or is below ``minimum``.
+
+    Bools and numpy integers are refused: frames and focal keys need plain ints.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
 @dataclass(frozen=True)
 class FrameOfDiscernment:
     """A frame of ``n`` mutually exclusive states ``s_1 .. s_n``."""
@@ -32,8 +43,7 @@ class FrameOfDiscernment:
     n: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 2:
-            raise ValueError(f"frame needs at least 2 states, got n={self.n}")
+        check_count("n", self.n, 2)
 
     @property
     def full_set(self) -> int:
@@ -68,6 +78,7 @@ class MassFunction:
 
     ``focal`` maps subset bitmasks to masses.  Construction validates the
     invariants (no empty set, positive entries, total 1 within ``EPS_NORM``).
+    ``focal`` must not be mutated: one instance may be held by several agents.
     """
 
     __slots__ = ("frame", "focal")
@@ -204,35 +215,12 @@ def get_combiner(name: str):
         ) from None
 
 
-def renormalize(
-    m: MassFunction | Mapping[int, float],
-    frame: FrameOfDiscernment | None = None,
-) -> MassFunction:
-    """Rescale masses to total 1, dropping entries below ``EPS_PRUNE`` first.
-
-    Accepts an existing mass function or a raw ``{subset: mass}`` mapping with
-    non-negative entries (``frame`` is required in the latter case).  The total
-    must be strictly positive.
-    """
-    if isinstance(m, MassFunction):
-        frame = m.frame
-        items = m.focal
-    else:
-        if frame is None:
-            raise ValueError("frame is required when renormalizing a raw mapping")
-        items = m
-        for subset, value in items.items():
-            frame.check_subset(subset)
-            if value < 0.0:
-                raise ValueError(f"mass for subset {subset} is negative: {value}")
-    total = fsum(items.values())
-    if total <= 0.0:
-        raise ValueError(f"cannot renormalize: total mass {total} is not positive")
-    kept = {a: v / total for a, v in items.items() if v / total >= EPS_PRUNE}
-    if not kept:
-        raise ValueError("all mass entries fell below the pruning threshold")
+def renormalize(m: MassFunction) -> MassFunction:
+    """Rescale masses to total 1, dropping entries below ``EPS_PRUNE`` first."""
+    total = fsum(m.focal.values())
+    kept = {a: v / total for a, v in m.focal.items() if v / total >= EPS_PRUNE}
     kept_total = fsum(kept.values())
-    return MassFunction(frame, {a: v / kept_total for a, v in kept.items()})
+    return MassFunction(m.frame, {a: v / kept_total for a, v in kept.items()})
 
 
 def approx_eq(m1: MassFunction, m2: MassFunction, eps: float = EPS_NORM) -> bool:

@@ -25,6 +25,7 @@ from .mass import (
     TotalConflictError,
     approx_eq,
     bel,
+    check_count,
     get_combiner,
     make_vacuous,
     renormalize,
@@ -59,21 +60,8 @@ class SimConfig:
         check_count("seed", self.seed, 0)
         if not 0.0 <= self.r <= 1.0:
             raise ValueError(f"evidence rate must lie in [0, 1], got {self.r}")
-        check_sigma(self.sigma)
-
-
-def check_count(name: str, value, minimum: int, error: type = ValueError) -> None:
-    """Reject a count that is not an integer (bools included) or is below ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise error(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise error(f"{name} must be >= {minimum}, got {value}")
-
-
-def check_sigma(sigma: float, error: type = ValueError) -> None:
-    """Reject a noise level that is negative or not finite."""
-    if not (isfinite(sigma) and sigma >= 0.0):
-        raise error(f"noise sigma must be finite and >= 0, got {sigma}")
+        if not (isfinite(self.sigma) and self.sigma >= 0.0):
+            raise ValueError(f"noise sigma must be finite and >= 0, got {self.sigma}")
 
 
 @dataclass
@@ -144,9 +132,9 @@ def consensus_step(
     """One pairwise fusion; mutates and returns ``pop``.
 
     Two distinct agents are chosen uniformly at random and both adopt the
-    combination of their beliefs.  Under Dempster's rule a fully conflicting
-    pair (K = 1) does not form consensus: the pair is left unchanged and the
-    skip is counted.
+    combination of their beliefs, so both then hold the same ``MassFunction``.
+    Under Dempster's rule a fully conflicting pair (K = 1) does not form
+    consensus: the pair is left unchanged and the skip is counted.
     """
     i = int(rng.integers(config.k))
     j = int(rng.integers(config.k - 1))

@@ -179,12 +179,17 @@ def test_fixedpoints_rejects_unbounded_inputs(tmp_path, capsys, flags, message):
 
 
 def test_sweep_bad_workers_env_var_is_usage_error(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("DSTCONS_WORKERS", "abc")
     out = tmp_path / "s.csv"
-    status = cli_main(["sweep", "--operator", "yager", "--runs", "1", "--out", str(out)])
-    assert status == 2
-    assert "DSTCONS_WORKERS must be an integer, got 'abc'" in capsys.readouterr().err
-    assert not out.exists()
+    for env, message in [
+        ("abc", "DSTCONS_WORKERS must be an integer, got 'abc'"),
+        ("0", "DSTCONS_WORKERS must be >= 1, got 0"),
+        ("-3", "DSTCONS_WORKERS must be >= 1, got -3"),
+    ]:
+        monkeypatch.setenv("DSTCONS_WORKERS", env)
+        status = cli_main(["sweep", "--operator", "yager", "--runs", "1", "--out", str(out)])
+        assert status == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_reproduce_fig1_writes_trajectory(tmp_path):

@@ -212,25 +212,9 @@ class TestRenormalize:
         out = renormalize(HALF_S1)
         assert_mass_equals(out, HALF_S1.focal)
 
-    def test_rescales_raw_mapping(self):
-        out = renormalize({1: 0.3, 7: 0.3}, F3)
-        assert_mass_equals(out, {1: 0.5, 7: 0.5})
-
     def test_prunes_dust_then_rescales(self):
         m = MassFunction(F3, {1: 1 - 1e-15, 2: 1e-15})
         assert renormalize(m).focal == {1: 1.0}
-
-    def test_rejects_nonpositive_total(self):
-        with pytest.raises(ValueError):
-            renormalize({}, F3)
-
-    def test_rejects_negative_mass(self):
-        with pytest.raises(ValueError):
-            renormalize({1: -0.5, 7: 1.5}, F3)
-
-    def test_requires_frame_for_raw_mapping(self):
-        with pytest.raises(ValueError):
-            renormalize({1: 1.0})
 
 
 class TestApproxEq:

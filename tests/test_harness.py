@@ -8,13 +8,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import dstcons.harness as harness
 from dstcons import (
     COMBINERS,
+    FrameOfDiscernment,
+    SimConfig,
     SweepSpec,
+    default_qualities,
     derive_seed,
     emit_csv,
     preset_spec,
+    reproduce,
     run_sweep,
     summarize_convergence_time,
 )
@@ -27,6 +34,8 @@ from dstcons.harness import (
     ConfigError,
     RunRecord,
     build_cells,
+    cell_config,
+    emit_trajectory,
     mean_trajectory,
     parse_sweep_config,
     resolve_workers,
@@ -225,6 +234,21 @@ class TestEmission:
         with pytest.raises(ConfigError):
             emit_csv([], tmp_path / "x.csv", fmt="yaml")
 
+    def test_trajectory_rejects_unknown_format(self, tmp_path):
+        path = tmp_path / "out" / "t.xml"
+        with pytest.raises(ConfigError, match="'xml'"):
+            emit_trajectory([["yager", 0, 0.0, 0.0, 0.0, 1.0]], 3, path, fmt="xml")
+        assert not path.parent.exists()
+
+    def test_reproduce_rejects_unknown_format_before_running(self, tmp_path, monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("run_sweep called before the format was checked")
+
+        monkeypatch.setattr(harness, "run_sweep", no_sweep)
+        with pytest.raises(ConfigError, match="'xml'"):
+            reproduce("fig1", tmp_path / "out", runs=1, fmt="xml")
+        assert not (tmp_path / "out").exists()
+
     def test_aggregates_recomputable_from_run_file(self, tmp_path):
         sweep = run_sweep(SMALL_SPEC)
         summary_path, runs_path = emit_csv(
@@ -414,6 +438,21 @@ baselines = true
             sweep_spec_from_config("k = 10\n")
 
 
+# Grid and count values of every kind a caller might pass: small ints, bools,
+# numpy ints and floats (nan, inf and negatives included).
+SMALL_INTS = st.integers(-1, 6)
+NUMBERS = st.one_of(
+    SMALL_INTS,
+    SMALL_INTS.map(np.int64),
+    st.booleans(),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+COUNT_FIELDS = (
+    "k", "runs_per_cell", "max_iterations", "root_seed", "convergence_window",
+    "trajectory_stride",
+)
+
+
 class TestSpecValidation:
     @pytest.mark.parametrize(
         "field, values",
@@ -437,12 +476,58 @@ class TestSpecValidation:
         "field",
         ["k", "n_values", "max_iterations", "convergence_window", "root_seed"],
     )
-    @pytest.mark.parametrize("value", [3.5, 4.0, True, "4"])
+    @pytest.mark.parametrize("value", [3.5, 4.0, True, "4", np.int64(4)])
     def test_counts_must_be_integers(self, field, value):
         if field == "n_values":
             value = (value,)
         with pytest.raises(ConfigError, match="integer"):
             SweepSpec(operators=("yager",), **{field: value})
+
+    # One bad value of each field SweepSpec shares with SimConfig, as
+    # (SweepSpec kwargs, SimConfig kwargs).
+    SHARED_BAD_VALUES = [
+        ({"operators": ("bogus",)}, {"operator": "bogus"}),
+        ({"n_values": (1,)}, {"n": 1}),
+        ({"r_values": (1.5,)}, {"r": 1.5}),
+        ({"sigma_values": (float("nan"),)}, {"sigma": float("nan")}),
+        ({"k": 1}, {"k": 1}),
+        ({"max_iterations": 0}, {"max_iterations": 0}),
+        ({"convergence_window": 2.5}, {"convergence_window": 2.5}),
+        ({"trajectory_stride": -1}, {"trajectory_stride": -1}),
+        ({"root_seed": -1}, {"seed": -1}),
+    ]
+
+    @pytest.mark.parametrize("spec_kwargs, config_kwargs", SHARED_BAD_VALUES)
+    def test_shared_fields_fail_with_simconfig_message(self, spec_kwargs, config_kwargs):
+        with pytest.raises(ValueError) as config_error:
+            SimConfig(**{"operator": "yager", **config_kwargs})
+        with pytest.raises(ConfigError) as spec_error:
+            SweepSpec(**{"operators": ("yager",), **spec_kwargs})
+        assert str(spec_error.value) == str(config_error.value)
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        values=st.dictionaries(
+            st.sampled_from(("n_values", "r_values", "sigma_values") + COUNT_FIELDS),
+            st.lists(NUMBERS, min_size=1, max_size=2, unique=True),
+            min_size=1,
+            max_size=2,
+        ),
+        consensus=st.booleans(),
+    )
+    def test_accepted_spec_runs_every_cell(self, values, consensus):
+        kwargs = {
+            field: tuple(drawn) if field.endswith("_values") else drawn[0]
+            for field, drawn in values.items()
+        }
+        try:
+            spec = SweepSpec(operators=ALL_OPERATORS, consensus=consensus, **kwargs)
+        except ConfigError:
+            return
+        for cell in build_cells(spec):
+            cell_config(spec, cell, 0)
+            FrameOfDiscernment(cell.n)
+            default_qualities(cell.n)
 
 
 class TestCells:
@@ -474,6 +559,11 @@ class TestWorkers:
     def test_rejects_nonpositive(self):
         with pytest.raises(ConfigError):
             resolve_workers(0)
+
+    @pytest.mark.parametrize("workers", [2.5, True])
+    def test_rejects_non_integer(self, workers):
+        with pytest.raises(ConfigError, match="worker count must be an integer"):
+            resolve_workers(workers)
 
     def test_non_integer_env_var_is_named(self, monkeypatch):
         monkeypatch.setenv("DSTCONS_WORKERS", "abc")

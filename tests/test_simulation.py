@@ -57,7 +57,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "field", ["k", "n", "max_iterations", "convergence_window", "seed"]
     )
-    @pytest.mark.parametrize("value", [3.5, 4.0, True, "4"])
+    @pytest.mark.parametrize("value", [3.5, 4.0, True, "4", np.int64(4)])
     def test_counts_must_be_integers(self, field, value):
         with pytest.raises(ValueError, match=field):
             SimConfig(operator="yager", **{field: value})
