@@ -181,8 +181,6 @@ def classify(
     operator: str,
     m: MassFunction,
     *,
-    eps_fix: float = EPS_FIX,
-    delta_stab: float = DELTA_STAB,
     h: float = DEFAULT_STEP,
 ) -> FixedPointReport:
     """Build the full report: residual, spectral radius, stability class."""
@@ -194,12 +192,12 @@ def classify(
     else:
         rho = spectral_radius_eig(numeric_jacobian(operator, m, h))
         boundary = perturbations_leave_simplex(m, h)
-    is_fixed = residual <= eps_fix
+    is_fixed = residual <= EPS_FIX
     if not is_fixed:
         classification = "not_fixed"
-    elif rho < 1.0 - delta_stab:
+    elif rho < 1.0 - DELTA_STAB:
         classification = "stable"
-    elif rho > 1.0 + delta_stab:
+    elif rho > 1.0 + DELTA_STAB:
         classification = "unstable"
     else:
         classification = "marginal"

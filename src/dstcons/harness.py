@@ -256,8 +256,8 @@ def run_sweep(
 
     Worker processes only change wall-clock time: tasks are generated and
     reduced in a fixed order, and every run's seed is derived independently.
+    The pool never gets more workers than there are runs or CPUs.
     """
-    workers = resolve_workers(workers)
     cells = build_cells(spec)
     tasks = [
         (cell, run_index)
@@ -265,7 +265,8 @@ def run_sweep(
         for run_index in range(spec.runs_per_cell)
     ]
     configs = [cell_config(spec, cell, run_index) for cell, run_index in tasks]
-    if workers == 1 or len(configs) < 2:
+    workers = min(resolve_workers(workers), len(configs), os.cpu_count() or 1)
+    if workers == 1:
         results = [run(config) for config in configs]
     else:
         chunk = max(1, len(configs) // (workers * 4))

@@ -216,11 +216,16 @@ def get_combiner(name: str):
 
 
 def renormalize(m: MassFunction) -> MassFunction:
-    """Rescale masses to total 1, dropping entries below ``EPS_PRUNE`` first."""
-    total = fsum(m.focal.values())
-    kept = {a: v / total for a, v in m.focal.items() if v / total >= EPS_PRUNE}
-    kept_total = fsum(kept.values())
-    return MassFunction(m.frame, {a: v / kept_total for a, v in kept.items()})
+    """Drop masses below ``EPS_PRUNE`` and rescale the rest to total 1.
+
+    ``m`` itself is returned when nothing is dropped: the combiners already
+    normalise their result.
+    """
+    kept = {a: v for a, v in m.focal.items() if v >= EPS_PRUNE}
+    if len(kept) == len(m.focal):
+        return m
+    total = fsum(kept.values())
+    return MassFunction(m.frame, {a: v / total for a, v in kept.items()})
 
 
 def approx_eq(m1: MassFunction, m2: MassFunction, eps: float = EPS_NORM) -> bool:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import fsum, isfinite
+from numbers import Real
 from typing import Sequence
 
 import numpy as np
@@ -58,19 +59,14 @@ class SimConfig:
         check_count("convergence_window", self.convergence_window, 1)
         check_count("trajectory_stride", self.trajectory_stride, 0)
         check_count("seed", self.seed, 0)
+        for name in ("r", "sigma"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if not 0.0 <= self.r <= 1.0:
             raise ValueError(f"evidence rate must lie in [0, 1], got {self.r}")
         if not (isfinite(self.sigma) and self.sigma >= 0.0):
             raise ValueError(f"noise sigma must be finite and >= 0, got {self.sigma}")
-
-
-@dataclass
-class AgentPopulation:
-    """The k agents' current mass functions and the count of skipped updates."""
-
-    frame: FrameOfDiscernment
-    agents: list[MassFunction]
-    dempster_skips: int = 0
 
 
 @dataclass
@@ -87,20 +83,21 @@ class RunResult:
     dempster_skips: int
 
 
-def init_population(config: SimConfig) -> AgentPopulation:
-    """Every agent starts in complete ignorance (the vacuous mass function)."""
-    frame = FrameOfDiscernment(config.n)
-    vacuous = make_vacuous(frame)
-    return AgentPopulation(frame, [vacuous] * config.k)
+def _fuse(combine, m1: MassFunction, m2: MassFunction) -> MassFunction | None:
+    """``renormalize(combine(m1, m2))``, or None when the pair fully conflicts."""
+    try:
+        return renormalize(combine(m1, m2))
+    except TotalConflictError:
+        return None
 
 
 def evidence_step(
-    pop: AgentPopulation,
+    agents: list[MassFunction],
     qualities: np.ndarray,
     config: SimConfig,
     rng: np.random.Generator,
-) -> AgentPopulation:
-    """One round of evidential updating; mutates and returns ``pop``.
+) -> int:
+    """One round of evidential updating on ``agents``, in place; returns the skips.
 
     Each agent independently passes an evidence gate with probability ``r``,
     selects a state ``s_i`` from its pignistic distribution, and fuses the
@@ -109,27 +106,25 @@ def evidence_step(
     Dempster update is skipped, leaving the agent unchanged.
     """
     combine = get_combiner(config.operator)
-    frame = pop.frame
-    agents = pop.agents
+    skips = 0
     gates = rng.random(config.k)
     for idx in np.flatnonzero(gates < config.r):
         m = agents[idx]
         i = select_state(m, rng)
         epsilon = float(rng.standard_normal()) * config.sigma
-        ev = evidence_mass(frame, i, float(qualities[i - 1]), epsilon)
-        try:
-            updated = combine(m, ev)
-        except TotalConflictError:
-            pop.dempster_skips += 1
-            continue
-        agents[idx] = renormalize(updated)
-    return pop
+        ev = evidence_mass(m.frame, i, float(qualities[i - 1]), epsilon)
+        updated = _fuse(combine, m, ev)
+        if updated is None:
+            skips += 1
+        else:
+            agents[idx] = updated
+    return skips
 
 
 def consensus_step(
-    pop: AgentPopulation, config: SimConfig, rng: np.random.Generator
-) -> AgentPopulation:
-    """One pairwise fusion; mutates and returns ``pop``.
+    agents: list[MassFunction], config: SimConfig, rng: np.random.Generator
+) -> int:
+    """One pairwise fusion on ``agents``, in place; returns the skips (0 or 1).
 
     Two distinct agents are chosen uniformly at random and both adopt the
     combination of their beliefs, so both then hold the same ``MassFunction``.
@@ -140,16 +135,11 @@ def consensus_step(
     j = int(rng.integers(config.k - 1))
     if j >= i:
         j += 1
-    combine = get_combiner(config.operator)
-    try:
-        combined = combine(pop.agents[i], pop.agents[j])
-    except TotalConflictError:
-        pop.dempster_skips += 1
-        return pop
-    updated = renormalize(combined)
-    pop.agents[i] = updated
-    pop.agents[j] = updated
-    return pop
+    fused = _fuse(get_combiner(config.operator), agents[i], agents[j])
+    if fused is None:
+        return 1
+    agents[i] = agents[j] = fused
+    return 0
 
 
 def population_mean_bel(agents: Sequence[MassFunction], subset: int) -> float:
@@ -175,7 +165,8 @@ def run(config: SimConfig) -> RunResult:
     """Execute a full run; deterministic given the config (including seed)."""
     qualities = default_qualities(config.n)
     rng = np.random.default_rng(config.seed)
-    pop = init_population(config)
+    agents = [make_vacuous(FrameOfDiscernment(config.n))] * config.k
+    skips = 0
     stride = config.trajectory_stride
 
     sample_iters: list[int] = []
@@ -183,7 +174,7 @@ def run(config: SimConfig) -> RunResult:
     sample_pl: list[float] = []
 
     def record(t: int) -> None:
-        bels, pl_best = population_means(pop.agents)
+        bels, pl_best = population_means(agents)
         sample_iters.append(t)
         sample_bel.append(bels)
         sample_pl.append(pl_best)
@@ -191,17 +182,16 @@ def run(config: SimConfig) -> RunResult:
     if stride:
         record(0)
 
-    prev = pop.agents.copy()
+    prev = agents.copy()
     stable = 0
     converged = False
     convergence_iteration: int | None = None
     t = 0
     for t in range(1, config.max_iterations + 1):
-        evidence_step(pop, qualities, config, rng)
+        skips += evidence_step(agents, qualities, config, rng)
         if config.consensus_enabled:
-            consensus_step(pop, config, rng)
+            skips += consensus_step(agents, config, rng)
 
-        agents = pop.agents
         unchanged = all(
             a is b or approx_eq(a, b, EPS_CONV) for a, b in zip(agents, prev)
         )
@@ -218,17 +208,14 @@ def run(config: SimConfig) -> RunResult:
     if stride and sample_iters[-1] != t:
         record(t)
 
-    n = config.n
     return RunResult(
         config=config,
         converged=converged,
         convergence_iteration=convergence_iteration,
-        steady_state=pop.agents.copy(),
+        steady_state=agents,
         trajectory_iterations=np.array(sample_iters, dtype=int),
-        trajectory_bel=(
-            np.array(sample_bel) if sample_bel else np.empty((0, n))
-        ),
+        trajectory_bel=np.array(sample_bel).reshape(-1, config.n),
         trajectory_pl_best=np.array(sample_pl),
-        dempster_skips=pop.dempster_skips,
+        dempster_skips=skips,
     )
 

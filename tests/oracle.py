@@ -3,20 +3,21 @@
 The combination oracle works on dense vectors indexed by subset bitmask and
 loops over all (2^n - 1)^2 subset pairs, with no sparsity shortcuts and no
 reuse of the library's combination code, so it can serve as an independent
-oracle.  The spectral radius by repeated squaring and the windowed
-convergence check are second routes to what ``classify`` and ``run`` compute
-their own way.
+oracle.  The spectral radius by repeated squaring, the windowed convergence
+check and the two-pass normalisation are second routes to what ``classify``,
+``run`` and ``renormalize`` compute their own way.
 """
 
 from __future__ import annotations
 
-from math import exp, log
+from math import exp, fsum, log
 from typing import Sequence
 
 import numpy as np
 
 from dstcons import (
     EPS_CONV,
+    EPS_PRUNE,
     FrameOfDiscernment,
     MassFunction,
     TotalConflictError,
@@ -131,6 +132,18 @@ def spectral_radius_power(jac: np.ndarray, max_squarings: int = 64) -> float:
         if abs(estimate - previous) <= 1e-13 * max(1.0, estimate):
             break
     return estimate
+
+
+def renormalize_reference(m: MassFunction) -> MassFunction:
+    """Rescale to total 1, drop masses below ``EPS_PRUNE``, then rescale again.
+
+    The two-pass normalisation the run loop applied after every combination
+    before ``renormalize`` became prune-only.
+    """
+    total = fsum(m.focal.values())
+    kept = {a: v / total for a, v in m.focal.items() if v / total >= EPS_PRUNE}
+    kept_total = fsum(kept.values())
+    return MassFunction(m.frame, {a: v / kept_total for a, v in kept.items()})
 
 
 def check_convergence(

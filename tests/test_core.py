@@ -212,6 +212,10 @@ class TestRenormalize:
         out = renormalize(HALF_S1)
         assert_mass_equals(out, HALF_S1.focal)
 
+    def test_returns_input_without_dust(self):
+        assert renormalize(QUARTERS) is QUARTERS
+        assert renormalize(HALF_S1) is HALF_S1
+
     def test_prunes_dust_then_rescales(self):
         m = MassFunction(F3, {1: 1 - 1e-15, 2: 1e-15})
         assert renormalize(m).focal == {1: 1.0}

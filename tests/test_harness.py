@@ -439,13 +439,15 @@ baselines = true
 
 
 # Grid and count values of every kind a caller might pass: small ints, bools,
-# numpy ints and floats (nan, inf and negatives included).
+# numpy ints, floats (nan, inf and negatives included), numeric text and None.
 SMALL_INTS = st.integers(-1, 6)
 NUMBERS = st.one_of(
     SMALL_INTS,
     SMALL_INTS.map(np.int64),
     st.booleans(),
     st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(("0.5", "3", "")),
+    st.none(),
 )
 COUNT_FIELDS = (
     "k", "runs_per_cell", "max_iterations", "root_seed", "convergence_window",
@@ -495,6 +497,8 @@ class TestSpecValidation:
         ({"convergence_window": 2.5}, {"convergence_window": 2.5}),
         ({"trajectory_stride": -1}, {"trajectory_stride": -1}),
         ({"root_seed": -1}, {"seed": -1}),
+        ({"r_values": ("0.5",)}, {"r": "0.5"}),
+        ({"sigma_values": (None,)}, {"sigma": None}),
     ]
 
     @pytest.mark.parametrize("spec_kwargs, config_kwargs", SHARED_BAD_VALUES)
@@ -569,6 +573,49 @@ class TestWorkers:
         monkeypatch.setenv("DSTCONS_WORKERS", "abc")
         with pytest.raises(ConfigError, match="DSTCONS_WORKERS.*'abc'"):
             resolve_workers(None)
+
+    class FakePool:
+        """Stands in for a ProcessPoolExecutor: maps in-process, starts no process."""
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    # (requested workers, os.cpu_count(), runs in the sweep, expected pool size;
+    # None means the sweep runs serially and no pool is made).
+    POOL_CASES = [
+        (100000, 4, 6, 4),
+        (3, 64, 2, 2),
+        (8, 2, 6, 2),
+        (2, None, 6, None),
+        (100000, 8, 1, None),
+    ]
+
+    @pytest.mark.parametrize("requested, cpus, runs, expected", POOL_CASES)
+    @pytest.mark.parametrize("source", ["argument", "env"])
+    def test_pool_bounded_by_cpus_and_runs(
+        self, monkeypatch, requested, cpus, runs, expected, source
+    ):
+        sizes = []
+
+        def fake_executor(max_workers):
+            sizes.append(max_workers)
+            return self.FakePool()
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", fake_executor)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        monkeypatch.setenv("DSTCONS_WORKERS", str(requested))
+        spec = SweepSpec(
+            operators=("yager",), k=3, runs_per_cell=runs, max_iterations=5
+        )
+        sweep = run_sweep(spec, workers=requested if source == "argument" else None)
+        assert sizes == ([] if expected is None else [expected])
+        assert sweep.records == run_sweep(spec, workers=1).records
 
 
 class TestPresets:

@@ -14,21 +14,15 @@ from dstcons import (
     evidence_mass,
     evidence_step,
     get_combiner,
-    init_population,
     make_vacuous,
     pignistic,
     pl,
     population_mean_bel,
     run,
 )
-from oracle import check_convergence
+from oracle import check_convergence, renormalize_reference
 
 F3 = FrameOfDiscernment(3)
-
-
-def _pop_of(masses):
-    frame = masses[0].frame
-    return simulation.AgentPopulation(frame, list(masses))
 
 
 class TestConfigValidation:
@@ -54,6 +48,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="sigma"):
             SimConfig(operator="yager", sigma=sigma)
 
+    @pytest.mark.parametrize("field", ["r", "sigma"])
+    @pytest.mark.parametrize("value", ["0.5", None, True])
+    def test_rates_must_be_real(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be a real number"):
+            SimConfig(operator="yager", **{field: value})
+
     @pytest.mark.parametrize(
         "field", ["k", "n", "max_iterations", "convergence_window", "seed"]
     )
@@ -63,38 +63,24 @@ class TestConfigValidation:
             SimConfig(operator="yager", **{field: value})
 
 
-class TestInitPopulation:
-    def test_all_ignorant(self):
-        pop = init_population(SimConfig(operator="dubois_prade", k=100, n=3))
-        assert len(pop.agents) == 100
-        assert all(m.focal == {7: 1.0} for m in pop.agents)
-
-    def test_small(self):
-        pop = init_population(SimConfig(operator="average", k=2, n=2))
-        assert [m.focal for m in pop.agents] == [{3: 1.0}, {3: 1.0}]
-
-    def test_initial_mean_belief_is_zero(self):
-        pop = init_population(SimConfig(operator="yager", k=10, n=3))
-        assert population_mean_bel(pop.agents, F3.singleton(3)) == 0.0
-
-
 class TestEvidenceStep:
     def test_rate_zero_is_identity(self):
         config = SimConfig(operator="dubois_prade", k=20, n=3, r=0.0)
-        pop = init_population(config)
-        before = pop.agents.copy()
-        evidence_step(pop, default_qualities(3), config, np.random.default_rng(0))
-        assert all(a is b for a, b in zip(pop.agents, before))
+        agents = [make_vacuous(F3)] * 20
+        before = agents.copy()
+        skips = evidence_step(agents, default_qualities(3), config, np.random.default_rng(0))
+        assert skips == 0
+        assert all(a is b for a, b in zip(agents, before))
 
     @pytest.mark.parametrize("op", ["dempster", "dubois_prade", "yager"])
     def test_vacuous_agent_adopts_evidence(self, op):
         config = SimConfig(
             operator=op, k=1, n=3, r=1.0, sigma=0.0, consensus_enabled=False
         )
-        pop = init_population(config)
+        agents = [make_vacuous(F3)]
         qualities = default_qualities(3)
-        evidence_step(pop, qualities, config, np.random.default_rng(3))
-        (m,) = pop.agents
+        assert evidence_step(agents, qualities, config, np.random.default_rng(3)) == 0
+        (m,) = agents
         singletons = [a for a in m.focal if a.bit_count() == 1]
         assert len(singletons) == 1
         i = F3.members(singletons[0])[0]
@@ -108,10 +94,10 @@ class TestEvidenceStep:
         config = SimConfig(
             operator="average", k=1, n=3, r=1.0, sigma=0.0, consensus_enabled=False
         )
-        pop = init_population(config)
+        agents = [make_vacuous(F3)]
         qualities = default_qualities(3)
-        evidence_step(pop, qualities, config, np.random.default_rng(3))
-        (m,) = pop.agents
+        assert evidence_step(agents, qualities, config, np.random.default_rng(3)) == 0
+        (m,) = agents
         singletons = [a for a in m.focal if a.bit_count() == 1]
         assert len(singletons) == 1
         q = qualities[F3.members(singletons[0])[0] - 1]
@@ -122,10 +108,11 @@ class TestEvidenceStep:
         config = SimConfig(
             operator="dubois_prade", k=1, n=3, r=1.0, sigma=0.0, consensus_enabled=False
         )
-        pop = _pop_of([MassFunction(F3, {4: 1.0})])
+        agents = [MassFunction(F3, {4: 1.0})]
         for _ in range(5):
-            evidence_step(pop, default_qualities(3), config, np.random.default_rng(1))
-            assert pop.agents[0].focal == {4: 1.0}
+            rng = np.random.default_rng(1)
+            assert evidence_step(agents, default_qualities(3), config, rng) == 0
+            assert agents[0].focal == {4: 1.0}
 
     def test_total_conflict_against_evidence_is_skipped(self, monkeypatch):
         # Unreachable through pignistic selection (a state with zero
@@ -134,11 +121,11 @@ class TestEvidenceStep:
         config = SimConfig(
             operator="dempster", k=1, n=3, r=1.0, sigma=0.0, consensus_enabled=False
         )
-        pop = _pop_of([MassFunction(F3, {1: 1.0})])
+        agents = [MassFunction(F3, {1: 1.0})]
         qualities = np.array([0.5, 1.0, 0.5])
-        evidence_step(pop, qualities, config, np.random.default_rng(0))
-        assert pop.agents[0].focal == {1: 1.0}
-        assert pop.dempster_skips == 1
+        skips = evidence_step(agents, qualities, config, np.random.default_rng(0))
+        assert agents[0].focal == {1: 1.0}
+        assert skips == 1
 
     @staticmethod
     def _noise_draws(monkeypatch, sigma, updates):
@@ -159,7 +146,7 @@ class TestEvidenceStep:
         rng = np.random.default_rng(0)
         qualities = default_qualities(3)
         while len(seen) < updates:
-            evidence_step(init_population(config), qualities, config, rng)
+            evidence_step([make_vacuous(F3)] * 100, qualities, config, rng)
         return np.array(seen)
 
     def test_zero_sigma_draws_zero_epsilon(self, monkeypatch):
@@ -175,32 +162,32 @@ class TestEvidenceStep:
 class TestConsensusStep:
     def test_vacuous_pair_stays_vacuous(self):
         config = SimConfig(operator="yager", k=2, n=3)
-        pop = _pop_of([make_vacuous(F3), make_vacuous(F3)])
-        consensus_step(pop, config, np.random.default_rng(0))
-        assert all(m.focal == {7: 1.0} for m in pop.agents)
+        agents = [make_vacuous(F3), make_vacuous(F3)]
+        assert consensus_step(agents, config, np.random.default_rng(0)) == 0
+        assert all(m.focal == {7: 1.0} for m in agents)
 
     def test_dempster_total_conflict_skips_pair(self):
         config = SimConfig(operator="dempster", k=2, n=3)
-        pop = _pop_of([MassFunction(F3, {1: 1.0}), MassFunction(F3, {2: 1.0})])
-        consensus_step(pop, config, np.random.default_rng(0))
-        assert pop.agents[0].focal == {1: 1.0}
-        assert pop.agents[1].focal == {2: 1.0}
-        assert pop.dempster_skips == 1
+        agents = [MassFunction(F3, {1: 1.0}), MassFunction(F3, {2: 1.0})]
+        skips = consensus_step(agents, config, np.random.default_rng(0))
+        assert agents[0].focal == {1: 1.0}
+        assert agents[1].focal == {2: 1.0}
+        assert skips == 1
 
     def test_dubois_prade_resolves_conflict_to_union(self):
         config = SimConfig(operator="dubois_prade", k=2, n=3)
-        pop = _pop_of([MassFunction(F3, {1: 1.0}), MassFunction(F3, {2: 1.0})])
-        consensus_step(pop, config, np.random.default_rng(0))
-        assert pop.agents[0].focal == {3: 1.0}
-        assert pop.agents[1] is pop.agents[0]
+        agents = [MassFunction(F3, {1: 1.0}), MassFunction(F3, {2: 1.0})]
+        assert consensus_step(agents, config, np.random.default_rng(0)) == 0
+        assert agents[0].focal == {3: 1.0}
+        assert agents[1] is agents[0]
 
     def test_pair_members_are_distinct(self):
         config = SimConfig(operator="average", k=2, n=3)
         rng = np.random.default_rng(123)
-        pop = _pop_of([MassFunction(F3, {1: 1.0}), MassFunction(F3, {2: 1.0})])
-        consensus_step(pop, config, rng)
+        agents = [MassFunction(F3, {1: 1.0}), MassFunction(F3, {2: 1.0})]
+        consensus_step(agents, config, rng)
         # Averaging two distinct agents always mixes them.
-        assert pop.agents[0].focal == {1: 0.5, 2: 0.5}
+        assert agents[0].focal == {1: 0.5, 2: 0.5}
 
 
 class TestCheckConvergence:
@@ -223,6 +210,21 @@ class TestCheckConvergence:
 
 
 class TestRun:
+    @pytest.mark.parametrize(
+        "op, k, n", [("dubois_prade", 100, 3), ("average", 2, 2), ("yager", 10, 3)]
+    )
+    def test_agents_start_vacuous(self, op, k, n):
+        # The t=0 sample is complete ignorance: Bel 0 for every state, Pl(best) 1.
+        config = SimConfig(
+            operator=op, k=k, n=n, r=0.0, max_iterations=3, trajectory_stride=1
+        )
+        result = run(config)
+        assert result.trajectory_iterations[0] == 0
+        assert result.trajectory_bel[0].tolist() == [0.0] * n
+        assert result.trajectory_pl_best[0] == 1.0
+        full = FrameOfDiscernment(n).full_set
+        assert [m.focal for m in result.steady_state] == [{full: 1.0}] * k
+
     def test_static_run_converges_at_window(self):
         config = SimConfig(
             operator="dubois_prade", k=5, n=3, r=0.0, consensus_enabled=False, seed=1
@@ -311,18 +313,39 @@ class TestRun:
         t_conv = result.convergence_iteration
 
         rng = np.random.default_rng(config.seed)
-        pop = init_population(config)
+        agents = [make_vacuous(F3)] * config.k
         qualities = default_qualities(config.n)
         window = config.convergence_window
-        snapshots = [pop.agents.copy()]
+        snapshots = [agents.copy()]
         detected = None
         for t in range(1, config.max_iterations + 1):
-            evidence_step(pop, qualities, config, rng)
-            consensus_step(pop, config, rng)
-            snapshots.append(pop.agents.copy())
+            evidence_step(agents, qualities, config, rng)
+            consensus_step(agents, config, rng)
+            snapshots.append(agents.copy())
             if len(snapshots) >= window + 1 and check_convergence(
                 snapshots[-(window + 1):]
             ):
                 detected = t
                 break
         assert detected == t_conv
+
+
+class TestSingleNormalisation:
+    """``run`` normalises once per update; the old second pass moved only ulps."""
+
+    @pytest.mark.parametrize("op", ["dempster", "dubois_prade", "yager", "average"])
+    def test_paired_replay_against_double_normalisation(self, op, monkeypatch):
+        configs = [
+            SimConfig(operator=op, k=20, n=n, r=r, sigma=0.1, seed=seed,
+                      max_iterations=300)
+            for seed, (n, r) in enumerate([(3, 0.05), (3, 1.0), (5, 0.05), (5, 1.0)])
+        ]
+        current = [run(config) for config in configs]
+        monkeypatch.setattr(simulation, "renormalize", renormalize_reference)
+        reference = [run(config) for config in configs]
+        for a, b in zip(current, reference):
+            assert a.convergence_iteration == b.convergence_iteration
+            assert a.dempster_skips == b.dempster_skips
+            for x, y in zip(a.steady_state, b.steady_state):
+                assert x.focal.keys() == y.focal.keys()
+                assert approx_eq(x, y, 1e-14)
