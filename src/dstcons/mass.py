@@ -204,6 +204,14 @@ COMBINERS = {
     "average": combine_average,
 }
 
+# The rules under which evidence for s_i leaves an agent holding {s_i}: 1.0
+# exactly as it was.  Both evidence focal sets ({s_i} and the frame) contain
+# s_i, so every product lands on {s_i} and K = 0; _from_products then divides
+# that one entry x by fsum([x]) == x, which is exactly 1.0, for any clamped,
+# zero, full or subnormal evidence mass.  Averaging moves such an agent
+# towards the evidence, so it is not one of them.
+CERTAINTY_PRESERVING = frozenset({"dempster", "dubois_prade", "yager"})
+
 
 def get_combiner(name: str):
     """Look up a combination operator by name; raises on unknown names."""

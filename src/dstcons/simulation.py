@@ -21,6 +21,7 @@ import numpy as np
 
 from .evidence import default_qualities, evidence_mass, select_state
 from .mass import (
+    CERTAINTY_PRESERVING,
     FrameOfDiscernment,
     MassFunction,
     TotalConflictError,
@@ -91,6 +92,12 @@ def _fuse(combine, m1: MassFunction, m2: MassFunction) -> MassFunction | None:
         return None
 
 
+def _check_population(agents: list[MassFunction], config: SimConfig) -> None:
+    # The gates and pair indices are drawn for config.k agents.
+    if len(agents) != config.k:
+        raise ValueError(f"population holds {len(agents)} agents but config.k = {config.k}")
+
+
 def evidence_step(
     agents: list[MassFunction],
     qualities: np.ndarray,
@@ -103,15 +110,21 @@ def evidence_step(
     selects a state ``s_i`` from its pignistic distribution, and fuses the
     evidence mass for quality ``qualities[i - 1]`` plus Gaussian noise of
     standard deviation ``sigma`` into its belief.  A totally conflicting
-    Dempster update is skipped, leaving the agent unchanged.
+    Dempster update is skipped, leaving the agent unchanged.  An agent
+    certain of ``s_i`` keeps its object under evidence for ``s_i`` when the
+    operator is in ``CERTAINTY_PRESERVING``: the update could not move it.
     """
+    _check_population(agents, config)
     combine = get_combiner(config.operator)
+    preserving = config.operator in CERTAINTY_PRESERVING
     skips = 0
     gates = rng.random(config.k)
     for idx in np.flatnonzero(gates < config.r):
         m = agents[idx]
         i = select_state(m, rng)
         epsilon = float(rng.standard_normal()) * config.sigma
+        if preserving and len(m.focal) == 1 and m.focal.get(1 << (i - 1)) == 1.0:
+            continue
         ev = evidence_mass(m.frame, i, float(qualities[i - 1]), epsilon)
         updated = _fuse(combine, m, ev)
         if updated is None:
@@ -131,6 +144,7 @@ def consensus_step(
     Under Dempster's rule a fully conflicting pair (K = 1) does not form
     consensus: the pair is left unchanged and the skip is counted.
     """
+    _check_population(agents, config)
     i = int(rng.integers(config.k))
     j = int(rng.integers(config.k - 1))
     if j >= i:

@@ -5,7 +5,9 @@ loops over all (2^n - 1)^2 subset pairs, with no sparsity shortcuts and no
 reuse of the library's combination code, so it can serve as an independent
 oracle.  The spectral radius by repeated squaring, the windowed convergence
 check and the two-pass normalisation are second routes to what ``classify``,
-``run`` and ``renormalize`` compute their own way.
+``run`` and ``renormalize`` compute their own way.  The evidence step and the
+state selection without their shortcut for certain agents are the references
+the shortcut is replayed against.
 """
 
 from __future__ import annotations
@@ -20,8 +22,13 @@ from dstcons import (
     EPS_PRUNE,
     FrameOfDiscernment,
     MassFunction,
+    SimConfig,
     TotalConflictError,
     approx_eq,
+    evidence_mass,
+    get_combiner,
+    pignistic,
+    renormalize,
 )
 
 
@@ -162,3 +169,40 @@ def check_convergence(
             if a is not b and not approx_eq(a, b, eps):
                 return False
     return True
+
+
+def select_state_reference(m: MassFunction, rng: np.random.Generator) -> int:
+    """Roulette-wheel selection by cumulative-sum inversion, with no fast path."""
+    probs = pignistic(m)
+    u = rng.random()
+    cum = 0.0
+    last_positive = 0
+    for i, p in enumerate(probs):
+        if p > 0.0:
+            last_positive = i + 1
+            cum += p
+            if u < cum:
+                return i + 1
+    return last_positive
+
+
+def evidence_step_reference(
+    agents: list[MassFunction],
+    qualities: np.ndarray,
+    config: SimConfig,
+    rng: np.random.Generator,
+) -> int:
+    """``evidence_step`` that combines every gated update, certain agents too."""
+    combine = get_combiner(config.operator)
+    skips = 0
+    gates = rng.random(config.k)
+    for idx in np.flatnonzero(gates < config.r):
+        m = agents[idx]
+        i = select_state_reference(m, rng)
+        epsilon = float(rng.standard_normal()) * config.sigma
+        ev = evidence_mass(m.frame, i, float(qualities[i - 1]), epsilon)
+        try:
+            agents[idx] = renormalize(combine(m, ev))
+        except TotalConflictError:
+            skips += 1
+    return skips

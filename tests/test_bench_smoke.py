@@ -2,14 +2,22 @@
 
 A refactor that renames or breaks something the benchmark hooks into
 (``bench/tracing.py``, ``bench/checks.py``) fails here rather than only when
-the benchmark is run.
+the benchmark is run.  So does an engine change that stops combining through
+``simulation.get_combiner``, which the dense-recombination check samples: the
+check would otherwise drop out of the output without failing.
 """
 
+import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-BENCH_RUN = Path(__file__).resolve().parents[1] / "bench" / "run.py"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH_RUN = ROOT / "bench" / "run.py"
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+WORKLOADS = [workload["name"] for workload in BENCHMARK["workloads"]]
+DENSE_CHECK = r"# {}: check dense recombination \(\w+\): pass x(\d+)"
 
 
 def test_bench_smoke_passes():
@@ -18,4 +26,20 @@ def test_bench_smoke_passes():
         capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-4000:]
-    assert proc.stdout.rstrip().splitlines()[-1] == '{"smoke": "ok"}'
+    lines = proc.stdout.rstrip().splitlines()
+    assert lines[-1] == '{"smoke": "ok"}'
+    # Each workload's untraced block ends at its "# smoke W trace=0" line.
+    untraced, block = {}, []
+    for line in lines:
+        done = re.fullmatch(r"# smoke (\w+) trace=(\d): \w+", line)
+        if done:
+            if done[2] == "0":
+                untraced[done[1]] = block
+            block = []
+        else:
+            block.append(line)
+    assert sorted(untraced) == sorted(WORKLOADS)
+    for name, block in untraced.items():
+        matches = [re.fullmatch(DENSE_CHECK.format(name), line) for line in block]
+        passes = [int(m[1]) for m in matches if m]
+        assert passes and min(passes) >= 1, (name, block)

@@ -14,6 +14,7 @@ from dstcons import (
     pignistic,
     select_state,
 )
+from oracle import select_state_reference
 
 F3 = FrameOfDiscernment(3)
 
@@ -89,6 +90,17 @@ class TestSelectState:
         m = MassFunction(F3, {1: 0.5, 2: 0.5})
         rng = np.random.default_rng(11)
         assert 3 not in {select_state(m, rng) for _ in range(20000)}
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    @pytest.mark.parametrize("value", [1.0, 1 - 1e-10])
+    def test_single_singleton_matches_reference(self, n, value):
+        frame = FrameOfDiscernment(n)
+        for i in range(1, n + 1):
+            m = MassFunction(frame, {frame.singleton(i): value})
+            fast, reference = np.random.default_rng(i), np.random.default_rng(i)
+            for _ in range(10):
+                assert select_state(m, fast) == select_state_reference(m, reference) == i
+            assert fast.bit_generator.state == reference.bit_generator.state
 
     @staticmethod
     def _assert_frequencies_match_pignistic(m, seed, draws=100_000):

@@ -8,6 +8,7 @@ from dstcons import (
     FrameOfDiscernment,
     MassFunction,
     SimConfig,
+    SweepSpec,
     approx_eq,
     consensus_step,
     default_qualities,
@@ -18,9 +19,12 @@ from dstcons import (
     pignistic,
     pl,
     population_mean_bel,
+    renormalize,
     run,
+    run_sweep,
 )
-from oracle import check_convergence, renormalize_reference
+from dstcons.mass import CERTAINTY_PRESERVING, COMBINERS
+from oracle import check_convergence, evidence_step_reference, renormalize_reference
 
 F3 = FrameOfDiscernment(3)
 
@@ -114,6 +118,52 @@ class TestEvidenceStep:
             assert evidence_step(agents, default_qualities(3), config, rng) == 0
             assert agents[0].focal == {4: 1.0}
 
+    @staticmethod
+    def _count_combines(monkeypatch):
+        calls = []
+        lookup = simulation.get_combiner
+
+        def counting(name):
+            combine = lookup(name)
+
+            def counted(m1, m2):
+                calls.append(name)
+                return combine(m1, m2)
+
+            return counted
+
+        monkeypatch.setattr(simulation, "get_combiner", counting)
+        return calls
+
+    @pytest.mark.parametrize("op", sorted(CERTAINTY_PRESERVING))
+    def test_certain_agent_keeps_its_object_without_combining(self, op, monkeypatch):
+        calls = self._count_combines(monkeypatch)
+        config = SimConfig(
+            operator=op, k=1, n=3, r=1.0, sigma=0.3, consensus_enabled=False
+        )
+        agent = MassFunction(F3, {4: 1.0})
+        agents = [agent]
+        rng = np.random.default_rng(1)
+        for _ in range(20):
+            assert evidence_step(agents, default_qualities(3), config, rng) == 0
+            assert agents[0] is agent
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "op, value",
+        [("average", 1.0)] + [(op, 1 - 1e-10) for op in sorted(CERTAINTY_PRESERVING)],
+    )
+    def test_update_that_can_move_the_agent_is_combined(self, op, value, monkeypatch):
+        # Averaging moves a certain agent; a mass just short of 1 (buildable
+        # only through the API) is not certain.
+        calls = self._count_combines(monkeypatch)
+        config = SimConfig(
+            operator=op, k=1, n=3, r=1.0, sigma=0.0, consensus_enabled=False
+        )
+        agents = [MassFunction(F3, {4: value})]
+        evidence_step(agents, default_qualities(3), config, np.random.default_rng(1))
+        assert calls == [op]
+
     def test_total_conflict_against_evidence_is_skipped(self, monkeypatch):
         # Unreachable through pignistic selection (a state with zero
         # plausibility is never chosen), so force the selection.
@@ -188,6 +238,25 @@ class TestConsensusStep:
         consensus_step(agents, config, rng)
         # Averaging two distinct agents always mixes them.
         assert agents[0].focal == {1: 0.5, 2: 0.5}
+
+
+class TestPopulationSize:
+    """The steps draw gates and pair indices for ``config.k`` agents."""
+
+    STEPS = {
+        "evidence": lambda agents, config, rng: evidence_step(
+            agents, default_qualities(3), config, rng
+        ),
+        "consensus": consensus_step,
+    }
+
+    @pytest.mark.parametrize("step", sorted(STEPS))
+    @pytest.mark.parametrize("size", [3, 8])
+    def test_population_must_match_k(self, step, size):
+        config = SimConfig(operator="yager", k=5, n=3, r=1.0)
+        agents = [make_vacuous(F3)] * size
+        with pytest.raises(ValueError, match=rf"\b{size} agents\b.*\bk = 5\b"):
+            self.STEPS[step](agents, config, np.random.default_rng(0))
 
 
 class TestCheckConvergence:
@@ -349,3 +418,45 @@ class TestSingleNormalisation:
             for x, y in zip(a.steady_state, b.steady_state):
                 assert x.focal.keys() == y.focal.keys()
                 assert approx_eq(x, y, 1e-14)
+
+
+class TestCertainAgentShortcut:
+    """Evidence for the state a certain agent holds is skipped, bit for bit."""
+
+    @staticmethod
+    def _keeps_certainty(op, frame, i, q, eps):
+        certain = MassFunction(frame, {frame.singleton(i): 1.0})
+        fused = renormalize(get_combiner(op)(certain, evidence_mass(frame, i, q, eps)))
+        return fused.focal == {frame.singleton(i): 1.0}
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_exactly_the_preserving_rules_keep_certainty(self, n):
+        rng = np.random.default_rng(n)
+        # Seeded masses, then v = 0, v = 1, clamped below and above, subnormal.
+        evidence = list(zip(rng.random(20).tolist(), rng.normal(0, 0.1, 20).tolist()))
+        evidence += [(0.0, 0.0), (1.0, 0.0), (0.3, -0.5), (0.7, 0.5)]
+        evidence += [(5e-324, 0.0), (1e-310, 0.0)]
+        frame = FrameOfDiscernment(n)
+        for op in COMBINERS:
+            holds = all(
+                self._keeps_certainty(op, frame, i, q, eps)
+                for i in range(1, n + 1)
+                for q, eps in evidence
+            )
+            assert holds == (op in CERTAINTY_PRESERVING), op
+
+    def test_paired_replay_against_evidence_step_without_shortcut(self, monkeypatch):
+        spec = SweepSpec(
+            operators=tuple(sorted(COMBINERS)), n_values=(3, 5), k=20,
+            r_values=(0.05, 1.0), sigma_values=(0.0, 0.1), runs_per_cell=1,
+            max_iterations=300,
+        )
+        current = run_sweep(spec, workers=1, keep_results=True)
+        monkeypatch.setattr(simulation, "evidence_step", evidence_step_reference)
+        reference = run_sweep(spec, workers=1, keep_results=True)
+        assert current.records == reference.records
+        for (_, _, a), (_, _, b) in zip(current.results, reference.results):
+            assert a.dempster_skips == b.dempster_skips
+            assert [list(m.focal.items()) for m in a.steady_state] == [
+                list(m.focal.items()) for m in b.steady_state
+            ]
