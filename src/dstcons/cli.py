@@ -19,7 +19,6 @@ from .harness import (
     reproduce,
     run_sweep,
     sweep_spec_from_config,
-    trajectory_rows,
 )
 from .mass import FrameOfDiscernment, MassFunction
 from .simulation import SimConfig, population_means, run
@@ -109,13 +108,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     )
     result = run(config)
     if config.trajectory_stride:
-        rows = trajectory_rows(
-            args.operator,
-            result.trajectory_iterations,
-            result.trajectory_bel,
-            result.trajectory_pl_best,
-        )
-        path = emit_trajectory(rows, config.n, args.out, fmt=args.format)
+        trajectory = (args.operator, result.trajectory_iterations,
+                      result.trajectory_bel, result.trajectory_pl_best)
+        path = emit_trajectory([trajectory], args.out, fmt=args.format)
         print(f"wrote {path}")
     if result.converged:
         print(f"converged: true (iteration {result.convergence_iteration})")

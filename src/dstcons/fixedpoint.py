@@ -22,7 +22,6 @@ import numpy as np
 
 from .mass import (
     MassFunction,
-    TotalConflictError,
     _conjunctive,
     _dubois_prade_products,
     get_combiner,
@@ -113,7 +112,8 @@ def _self_image(operator: str, coords: np.ndarray, n: int) -> np.ndarray:
     image[list(raw)] = list(raw.values())
     if operator == "dempster":
         if abs(1.0 - k) <= EPS_FIX:
-            raise TotalConflictError(f"self-combination fully conflicts (K={k!r})")
+            # Only a perturbed point can get here: K(m, m) < 1 on the simplex.
+            raise ValueError(f"a perturbed point fully conflicts (K={k!r}); use a smaller step")
         image /= 1.0 - k
     return image
 
@@ -184,14 +184,8 @@ def classify(
     h: float = DEFAULT_STEP,
 ) -> FixedPointReport:
     """Build the full report: residual, spectral radius, stability class."""
-    try:
-        residual = self_combine_residual(operator, m)
-    except TotalConflictError:
-        residual = rho = float("inf")
-        boundary = False
-    else:
-        rho = spectral_radius_eig(numeric_jacobian(operator, m, h))
-        boundary = perturbations_leave_simplex(m, h)
+    residual = self_combine_residual(operator, m)
+    rho = spectral_radius_eig(numeric_jacobian(operator, m, h))
     is_fixed = residual <= EPS_FIX
     if not is_fixed:
         classification = "not_fixed"
@@ -208,5 +202,5 @@ def classify(
         is_fixed=is_fixed,
         spectral_radius=rho,
         classification=classification,
-        boundary=boundary,
+        boundary=perturbations_leave_simplex(m, h),
     )

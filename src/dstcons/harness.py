@@ -81,6 +81,9 @@ class SweepSpec:
         # Every run parameter is checked by SimConfig, on each cell's config.
         try:
             check_count("runs_per_cell", self.runs_per_cell, 1)
+            for name in ("baselines", "consensus"):
+                if not isinstance(value := getattr(self, name), bool):
+                    raise ValueError(f"{name} must be a bool, got {value!r}")
             for cell in _grid(self):
                 _config(self, cell, self.root_seed)
         except ValueError as exc:
@@ -430,8 +433,8 @@ def emit_csv(
 ) -> list[Path]:
     """Write the per-cell summary table, plus the per-run sibling when given.
 
-    Floats carry 6 significant digits; rows are sorted by (operator, n, r,
-    sigma).  With ``fmt="json"`` the same tables are written as JSON arrays.
+    Rows are sorted by ``CELL_KEY`` (operator, n, r, sigma, consensus), floats
+    carry 6 significant digits, and ``fmt="json"`` writes the tables as JSON arrays.
     """
     path = Path(path)
     written = [path]
@@ -459,28 +462,27 @@ def _runs_table(records: Sequence[RunRecord]) -> tuple[list[str], list[list]]:
     return columns, rows
 
 
-def trajectory_rows(
-    operator: str,
-    iterations: np.ndarray,
-    bel_by_state: np.ndarray,
-    pl_best: np.ndarray,
-) -> list[list]:
-    return [
-        [operator, int(t)] + [float(v) for v in bel_by_state[i]] + [float(pl_best[i])]
-        for i, t in enumerate(iterations)
-    ]
-
-
 def emit_trajectory(
-    rows: list[list], n: int, path: str | Path, fmt: str = "csv"
+    trajectories: Sequence[tuple[str, np.ndarray, np.ndarray, np.ndarray]],
+    path: str | Path,
+    fmt: str = "csv",
 ) -> Path:
-    """Write trajectory samples: operator, iteration, mean Bel per state, Pl(best)."""
+    """Write trajectory samples: operator, iteration, mean Bel per state, Pl(best).
+
+    ``trajectories``: one ``(operator, iterations, bel_by_state, pl_best)`` per operator.
+    """
     path = Path(path)
+    n = trajectories[0][2].shape[1]
     columns = (
         ["operator", "iteration"]
         + [f"bel_s{j}" for j in range(1, n + 1)]
         + ["pl_best"]
     )
+    rows = [
+        [operator, int(t)] + [float(v) for v in bel_by_state[i]] + [float(pl_best[i])]
+        for operator, iterations, bel_by_state, pl_best in trajectories
+        for i, t in enumerate(iterations)
+    ]
     _write_table(path, columns, rows, fmt)
     return path
 
@@ -648,16 +650,14 @@ def reproduce(
         sweep.summaries, out_dir / f"{figure}{suffix}", sweep.records, fmt=fmt
     )
     if keep:
-        rows: list[list] = []
-        by_cell: dict[str, list[RunResult]] = {}
+        by_operator: dict[str, list[RunResult]] = {}
         for cell, _, result in sweep.results:
-            by_cell.setdefault(cell.operator, []).append(result)
-        for operator in sorted(by_cell):
-            grid, bel_means, pl_means = mean_trajectory(
-                by_cell[operator], spec.trajectory_stride, spec.max_iterations
-            )
-            rows.extend(trajectory_rows(operator, grid, bel_means, pl_means))
+            by_operator.setdefault(cell.operator, []).append(result)
+        trajectories = [
+            (operator, *mean_trajectory(results, spec.trajectory_stride, spec.max_iterations))
+            for operator, results in sorted(by_operator.items())
+        ]
         written.append(
-            emit_trajectory(rows, spec.n_values[0], out_dir / f"{figure}_trajectory{suffix}", fmt)
+            emit_trajectory(trajectories, out_dir / f"{figure}_trajectory{suffix}", fmt)
         )
     return written

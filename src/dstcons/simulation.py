@@ -54,6 +54,8 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         get_combiner(self.operator)
+        if not isinstance(self.consensus_enabled, bool):
+            raise ValueError(f"consensus_enabled must be a bool, got {self.consensus_enabled!r}")
         check_count("n", self.n, 2)
         check_count("k", self.k, 2 if self.consensus_enabled else 1)
         check_count("max_iterations", self.max_iterations, 1)
@@ -182,23 +184,12 @@ def run(config: SimConfig) -> RunResult:
     agents = [make_vacuous(FrameOfDiscernment(config.n))] * config.k
     skips = 0
     stride = config.trajectory_stride
-
-    sample_iters: list[int] = []
-    sample_bel: list[tuple[float, ...]] = []
-    sample_pl: list[float] = []
-
-    def record(t: int) -> None:
-        bels, pl_best = population_means(agents)
-        sample_iters.append(t)
-        sample_bel.append(bels)
-        sample_pl.append(pl_best)
-
+    samples: list[tuple[int, tuple[float, ...], float]] = []
     if stride:
-        record(0)
+        samples.append((0, *population_means(agents)))
 
     prev = agents.copy()
     stable = 0
-    converged = False
     convergence_iteration: int | None = None
     t = 0
     for t in range(1, config.max_iterations + 1):
@@ -213,23 +204,23 @@ def run(config: SimConfig) -> RunResult:
         prev = agents.copy()
 
         if stride and t % stride == 0:
-            record(t)
+            samples.append((t, *population_means(agents)))
         if stable >= config.convergence_window:
-            converged = True
             convergence_iteration = t
             break
 
-    if stride and sample_iters[-1] != t:
-        record(t)
+    if stride and samples[-1][0] != t:
+        samples.append((t, *population_means(agents)))
 
+    iterations, bels, pl_best = zip(*samples) if samples else ((), (), ())
     return RunResult(
         config=config,
-        converged=converged,
+        converged=convergence_iteration is not None,
         convergence_iteration=convergence_iteration,
         steady_state=agents,
-        trajectory_iterations=np.array(sample_iters, dtype=int),
-        trajectory_bel=np.array(sample_bel).reshape(-1, config.n),
-        trajectory_pl_best=np.array(sample_pl),
+        trajectory_iterations=np.array(iterations, dtype=int),
+        trajectory_bel=np.array(bels).reshape(-1, config.n),
+        trajectory_pl_best=np.array(pl_best),
         dempster_skips=skips,
     )
 

@@ -33,7 +33,6 @@ the repository, the figure-derived ~0.9 band is to be restored, or the
 program mended if the text names a protocol detail missing here.
 """
 
-import os
 from functools import lru_cache
 
 import numpy as np
@@ -91,7 +90,7 @@ def _cell_cached(operator, n, r, sigma, consensus, runs):
         root_seed=ROOT_SEED,
         consensus=consensus,
     )
-    return run_sweep(spec, workers=int(os.environ.get("DSTCONS_WORKERS", "1")))
+    return run_sweep(spec, workers=None)  # DSTCONS_WORKERS, else 1
 
 
 def _summary(operator, **kwargs):

@@ -5,12 +5,14 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 
 import dstcons
 from dstcons.cli import cli_main
+from dstcons.harness import FORMATS
 
 SWEEP_CONFIG = """
 operators = dubois_prade, dempster
@@ -23,6 +25,36 @@ max_iterations = 80
 root_seed = 11
 convergence_window = 20
 """
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+# A Dempster run that skips total-conflict pairs and converges off the
+# stride (iteration 146, stride 7), so its file ends on an extra sample.
+GOLDEN_RUN = [
+    "run", "--operator", "dempster", "--states", "3", "--agents", "20",
+    "--evidence-rate", "0.3", "--noise", "0.2", "--seed", "3",
+    "--max-iterations", "400", "--stride", "7",
+]
+GOLDEN_FIG1 = ["reproduce", "fig1", "--runs", "2", "--max-iterations", "300"]
+GOLDEN_TRAJECTORIES = tuple(
+    f"{stem}.{fmt}" for stem in ("run_trajectory", "fig1_trajectory") for fmt in FORMATS
+)
+
+
+def trajectory_golden_bytes(work_dir) -> dict[str, bytes]:
+    """Bytes of each pinned trajectory file, written by the CLI into ``work_dir``."""
+    work_dir = Path(work_dir)
+    for fmt in FORMATS:
+        out = work_dir / f"run_trajectory.{fmt}"
+        assert cli_main([*GOLDEN_RUN, "--out", str(out), "--format", fmt]) == 0
+        assert cli_main([*GOLDEN_FIG1, "--out", str(work_dir), "--format", fmt]) == 0
+    return {name: (work_dir / name).read_bytes() for name in GOLDEN_TRAJECTORIES}
+
+
+def write_trajectory_golden(golden_dir=GOLDEN_DIR):
+    """Regenerate the golden files (only for a declared change to the trajectories)."""
+    with tempfile.TemporaryDirectory() as work_dir:
+        for name, data in trajectory_golden_bytes(work_dir).items():
+            (Path(golden_dir) / name).write_bytes(data)
 
 
 def test_run_writes_trajectory_and_exits_zero(tmp_path, capsys):
@@ -48,6 +80,19 @@ def test_run_writes_trajectory_and_exits_zero(tmp_path, capsys):
     assert set(rows[0]) == {"operator", "iteration", "bel_s1", "bel_s2", "bel_s3", "pl_best"}
     assert all(0.0 <= float(r["pl_best"]) <= 1.0 for r in rows)
     assert "final mean Bel" in capsys.readouterr().out
+
+
+def test_trajectory_files_match_golden(tmp_path):
+    written = trajectory_golden_bytes(tmp_path)
+    for name in GOLDEN_TRAJECTORIES:
+        assert written[name] == (GOLDEN_DIR / name).read_bytes(), name
+
+
+def test_run_reports_convergence_and_dempster_skips(tmp_path, capsys):
+    assert cli_main([*GOLDEN_RUN, "--out", str(tmp_path / "t.csv")]) == 0
+    out = capsys.readouterr().out
+    assert "converged: true (iteration 146)\n" in out
+    assert "skipped total-conflict interactions: 34\n" in out
 
 
 def test_run_json_format(tmp_path):
@@ -123,6 +168,20 @@ def test_sweep_without_config_uses_flags(tmp_path):
     assert out.exists()
 
 
+@pytest.mark.parametrize(
+    "flag, modes", [("--no-consensus", ["false"]), ("--baselines", ["false", "true"])]
+)
+def test_sweep_consensus_flags_choose_cells(tmp_path, flag, modes):
+    out = tmp_path / "s.csv"
+    status = cli_main(
+        ["sweep", "--operator", "yager", "--agents", "4", "--runs", "1",
+         "--max-iterations", "40", flag, "--out", str(out)]
+    )
+    assert status == 0
+    with out.open() as fh:
+        assert [row["consensus"] for row in csv.DictReader(fh)] == modes
+
+
 def test_sweep_missing_config_file_is_io_error(tmp_path, capsys):
     status = cli_main(["sweep", "--config", str(tmp_path / "nope.cfg")])
     assert status == 1
@@ -168,6 +227,7 @@ def test_fixedpoints_single_operator(tmp_path):
         (["--states", "13"], "at most 12 states"),
         (["--step", "nan"], "step must be positive and finite, got nan"),
         (["--step", "inf"], "step must be positive and finite, got inf"),
+        (["--operator", "dempster", "--states", "3", "--step", "0.5"], "use a smaller step"),
     ],
 )
 def test_fixedpoints_rejects_unbounded_inputs(tmp_path, capsys, flags, message):

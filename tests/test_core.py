@@ -55,6 +55,9 @@ class TestFrame:
     def test_subset_helpers(self):
         assert F3.full_set == 7
         assert F3.singleton(3) == 4
+        for i in (0, 4):
+            with pytest.raises(ValueError, match=f"state index {i} outside 1..3"):
+                F3.singleton(i)
         assert F3.members(5) == (1, 3)
         with pytest.raises(ValueError):
             F3.check_subset(0)

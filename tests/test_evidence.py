@@ -11,6 +11,7 @@ from dstcons import (
     bel,
     default_qualities,
     evidence_mass,
+    make_vacuous,
     pignistic,
     select_state,
 )
@@ -101,6 +102,20 @@ class TestSelectState:
             for _ in range(10):
                 assert select_state(m, fast) == select_state_reference(m, reference) == i
             assert fast.bit_generator.state == reference.bit_generator.state
+
+    def test_rounding_gap_returns_last_positive_state(self):
+        # Ten shares of 0.1 add up to 0.9999999999999999, so the largest draw
+        # below 1 is not below the final cumulative value.
+        class LargestDraw:
+            def random(self):
+                return float(np.nextafter(1.0, 0.0))
+
+        m = make_vacuous(FrameOfDiscernment(10))
+        cum = 0.0
+        for p in pignistic(m):
+            cum += p
+        assert cum <= LargestDraw().random()
+        assert select_state(m, LargestDraw()) == select_state_reference(m, LargestDraw()) == 10
 
     @staticmethod
     def _assert_frequencies_match_pignistic(m, seed, draws=100_000):

@@ -236,8 +236,9 @@ class TestEmission:
 
     def test_trajectory_rejects_unknown_format(self, tmp_path):
         path = tmp_path / "out" / "t.xml"
+        trajectory = ("yager", np.array([0]), np.zeros((1, 3)), np.ones(1))
         with pytest.raises(ConfigError, match="'xml'"):
-            emit_trajectory([["yager", 0, 0.0, 0.0, 0.0, 1.0]], 3, path, fmt="xml")
+            emit_trajectory([trajectory], path, fmt="xml")
         assert not path.parent.exists()
 
     def test_reproduce_rejects_unknown_format_before_running(self, tmp_path, monkeypatch):
@@ -468,6 +469,18 @@ class TestSpecValidation:
     def test_repeated_grid_values(self, field, values):
         with pytest.raises(ConfigError, match=field):
             SweepSpec(**{"operators": ("yager",), field: values})
+
+    @pytest.mark.parametrize("field", ["operators", "n_values", "r_values", "sigma_values"])
+    def test_empty_grid_values(self, field):
+        with pytest.raises(ConfigError, match=f"{field} must be non-empty"):
+            SweepSpec(**{"operators": ("yager",), field: ()})
+
+    @pytest.mark.parametrize("field", ["consensus", "baselines"])
+    @pytest.mark.parametrize("value", ["false", None, 0, 1, np.bool_(True)])
+    def test_flags_must_be_bool(self, field, value):
+        # Read by truthiness, consensus="false" would run consensus cells.
+        with pytest.raises(ConfigError, match=f"{field} must be a bool"):
+            SweepSpec(operators=("yager",), **{field: value})
 
     @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -0.1])
     def test_bad_sigma(self, sigma):

@@ -66,6 +66,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=field):
             SimConfig(operator="yager", **{field: value})
 
+    @pytest.mark.parametrize("value", ["false", None, 0, 1, np.bool_(False)])
+    def test_consensus_flag_must_be_bool(self, value):
+        # Read by truthiness, "false" would run with consensus.
+        with pytest.raises(ValueError, match="consensus_enabled must be a bool"):
+            SimConfig(operator="yager", consensus_enabled=value)
+
 
 class TestEvidenceStep:
     def test_rate_zero_is_identity(self):
