@@ -89,10 +89,11 @@ def dp_polynomial_map(x: np.ndarray) -> np.ndarray:
     )
 
 
-def _self_image(operator: str, coords: np.ndarray, n: int) -> np.ndarray:
+def _self_image(operator: str, coords: np.ndarray) -> np.ndarray:
     """Self-combination image over all subsets, as a function of raw coordinates.
 
-    ``coords[a]`` is the mass on subset ``a`` (index 0 unused).  The
+    ``coords[a]`` is the mass on subset ``a`` (index 0 unused), so the
+    universal set is ``len(coords) - 1``.  The
     operators' product loops are evaluated directly, with no renormalisation,
     so coordinates outside the simplex are permitted; this is the polynomial
     (rational, for Dempster) extension used by the finite-difference Jacobian.
@@ -106,7 +107,7 @@ def _self_image(operator: str, coords: np.ndarray, n: int) -> np.ndarray:
     else:
         raw, k = _conjunctive(focal, focal)
     if operator == "yager":
-        full = (1 << n) - 1
+        full = len(values) - 1
         raw[full] = raw.get(full, 0.0) + k
     image = np.zeros(len(values))
     image[list(raw)] = list(raw.values())
@@ -126,12 +127,11 @@ def _free_coords(m: MassFunction) -> np.ndarray:
     return coords[1:full]
 
 
-def _image_of_free(operator: str, free: np.ndarray, n: int) -> np.ndarray:
-    full = (1 << n) - 1
-    coords = np.zeros(full + 1)
-    coords[1:full] = free
-    coords[full] = 1.0 - float(free.sum())
-    return _self_image(operator, coords, n)[1:full]
+def _image_of_free(operator: str, free: np.ndarray) -> np.ndarray:
+    coords = np.zeros(free.size + 2)
+    coords[1:-1] = free
+    coords[-1] = 1.0 - float(free.sum())
+    return _self_image(operator, coords)[1:-1]
 
 
 def perturbations_leave_simplex(m: MassFunction, h: float = DEFAULT_STEP) -> bool:
@@ -167,7 +167,7 @@ def numeric_jacobian(
         minus = x0.copy()
         minus[j] -= h
         jac[:, j] = (
-            _image_of_free(operator, plus, n) - _image_of_free(operator, minus, n)
+            _image_of_free(operator, plus) - _image_of_free(operator, minus)
         ) / (2.0 * h)
     return jac
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import suppress
 from dataclasses import dataclass
@@ -33,6 +34,8 @@ OPERATOR_IDS = {"dempster": 0, "dubois_prade": 1, "yager": 2, "average": 3}
 # The grid coordinates of a cell; cells, summaries and runs are ordered by them.
 CELL_FIELDS = ("operator", "n", "r", "sigma", "consensus")
 CELL_KEY = attrgetter(*CELL_FIELDS)
+# What a cell's records share and its summary carries: the grid point and k.
+CELL_LABEL = CELL_FIELDS + ("k",)
 
 FORMATS = ("csv", "json")
 
@@ -71,21 +74,25 @@ class SweepSpec:
     trajectory_stride: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("operators", "n_values", "r_values", "sigma_values"):
-            values = tuple(getattr(self, name))
-            object.__setattr__(self, name, values)
-            if not values:
-                raise ConfigError(f"{name} must be non-empty")
-            if len(set(values)) != len(values):
-                raise ConfigError(f"{name} has repeated values: {values}")
-        # Every run parameter is checked by SimConfig, on each cell's config.
+        grid_fields = ("operators", "n_values", "r_values", "sigma_values")
         try:
+            for name in grid_fields:
+                values = getattr(self, name)
+                if isinstance(values, str) or not isinstance(values, Iterable):
+                    raise ValueError(f"{name} must be a sequence of values, got {values!r}")
+                object.__setattr__(self, name, values := tuple(values))
+                if not values:
+                    raise ValueError(f"{name} must be non-empty")
             check_count("runs_per_cell", self.runs_per_cell, 1)
             for name in ("baselines", "consensus"):
                 if not isinstance(value := getattr(self, name), bool):
                     raise ValueError(f"{name} must be a bool, got {value!r}")
+            # SimConfig checks every run parameter before the repeat check hashes them.
             for cell in _grid(self):
                 _config(self, cell, self.root_seed)
+            for name in grid_fields:
+                if len(set(values := getattr(self, name))) != len(values):
+                    raise ValueError(f"{name} has repeated values: {values}")
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
@@ -261,13 +268,10 @@ def run_sweep(
     reduced in a fixed order, and every run's seed is derived independently.
     The pool never gets more workers than there are runs or CPUs.
     """
+    per_cell = spec.runs_per_cell
     cells = build_cells(spec)
-    tasks = [
-        (cell, run_index)
-        for cell in cells
-        for run_index in range(spec.runs_per_cell)
-    ]
-    configs = [cell_config(spec, cell, run_index) for cell, run_index in tasks]
+    tasks = [(cell, i) for cell in cells for i in range(per_cell)]
+    configs = [cell_config(spec, cell, i) for cell, i in tasks]
     workers = min(resolve_workers(workers), len(configs), os.cpu_count() or 1)
     if workers == 1:
         results = [run(config) for config in configs]
@@ -276,44 +280,37 @@ def run_sweep(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run, configs, chunksize=chunk))
 
-    records = [
-        _make_record(cell, run_index, result)
-        for (cell, run_index), result in zip(tasks, results)
+    records = [_make_record(i, res) for (_, i), res in zip(tasks, results)]
+    # Each cell's runs_per_cell records are adjacent, in run-index order.
+    summaries = [
+        summarize_cell(records[j : j + per_cell]) for j in range(0, len(records), per_cell)
     ]
-    summaries = []
-    per_cell = spec.runs_per_cell
-    for i, cell in enumerate(cells):
-        summaries.append(
-            summarize_cell(spec, cell, records[i * per_cell : (i + 1) * per_cell])
-        )
-    kept = (
-        [(cell, run_index, res) for (cell, run_index), res in zip(tasks, results)]
-        if keep_results
-        else None
-    )
+    kept = None
+    if keep_results:
+        kept = [(cell, i, res) for (cell, i), res in zip(tasks, results)]
     return SweepResult(spec=spec, summaries=summaries, records=records, results=kept)
 
 
-def _make_record(cell: Cell, run_index: int, result: RunResult) -> RunRecord:
+def _make_record(run_index: int, result: RunResult) -> RunRecord:
+    config = result.config
     agents = result.steady_state
     frame = agents[0].frame
-    n = frame.n
-    top2 = frame.singleton(n) | frame.singleton(n - 1)
+    top2 = frame.singleton(config.n) | frame.singleton(config.n - 1)
     mean_bel, mean_pl_best = population_means(agents)
     stasis = (
-        result.convergence_iteration - result.config.convergence_window
+        result.convergence_iteration - config.convergence_window
         if result.converged
         else None
     )
     return RunRecord(
-        operator=cell.operator,
-        n=cell.n,
-        k=result.config.k,
-        r=cell.r,
-        sigma=cell.sigma,
-        consensus=cell.consensus,
+        operator=config.operator,
+        n=config.n,
+        k=config.k,
+        r=config.r,
+        sigma=config.sigma,
+        consensus=config.consensus_enabled,
         run_index=run_index,
-        seed=result.config.seed,
+        seed=config.seed,
         converged=result.converged,
         convergence_iteration=result.convergence_iteration,
         stasis_iteration=stasis,
@@ -339,19 +336,15 @@ def summarize_convergence_time(
     return float(arr.mean()), float(arr.std())
 
 
-def summarize_cell(
-    spec: SweepSpec, cell: Cell, records: Sequence[RunRecord]
-) -> CellSummary:
+def summarize_cell(records: Sequence[RunRecord]) -> CellSummary:
+    labels = {attrgetter(*CELL_LABEL)(rec) for rec in records}
+    if len(labels) != 1:
+        raise ValueError(f"records must come from one cell, got {sorted(labels)}")
     best = np.array([rec.mean_bel[-1] for rec in records])
     top2 = np.array([rec.mean_bel_top2 for rec in records])
     mean_conv, std_conv = summarize_convergence_time(records)
     return CellSummary(
-        operator=cell.operator,
-        n=cell.n,
-        k=spec.k,
-        r=cell.r,
-        sigma=cell.sigma,
-        consensus=cell.consensus,
+        **dict(zip(CELL_LABEL, labels.pop())),
         runs=len(records),
         mean_bel_best=float(best.mean()),
         std_bel_best=float(best.std()),
@@ -445,21 +438,23 @@ def emit_csv(
     _write_table(path, SUMMARY_COLUMNS, rows, fmt)
     if records is not None:
         runs_path = _sibling(path, "runs")
-        _write_table(runs_path, *_runs_table(records), fmt=fmt, full_precision=True)
+        rows = [
+            ([getattr(rec, col) for col in RUN_COLUMNS], rec.mean_bel, [])
+            for rec in sorted(records, key=attrgetter(*CELL_FIELDS, "run_index"))
+        ]
+        _write_table(runs_path, *_state_table(RUN_COLUMNS, rows, ()), fmt, full_precision=True)
         written.append(runs_path)
     return written
 
 
-def _runs_table(records: Sequence[RunRecord]) -> tuple[list[str], list[list]]:
-    n_max = max(rec.n for rec in records) if records else 0
-    columns = list(RUN_COLUMNS) + [f"bel_s{j}" for j in range(1, n_max + 1)]
-    rows = [
-        [getattr(rec, col) for col in RUN_COLUMNS]
-        + list(rec.mean_bel)
-        + [None] * (n_max - rec.n)
-        for rec in sorted(records, key=attrgetter(*CELL_FIELDS, "run_index"))
-    ]
-    return columns, rows
+def _state_table(lead: Sequence[str], rows: list, tail: Sequence[str]) -> tuple[list, list]:
+    """Columns ``lead + bel_s1..bel_sN + tail`` and rows from ``(lead, bels, tail)`` values.
+
+    N is the largest frame among the rows; a row with fewer states gets blanks.
+    """
+    n = max((len(bels) for _, bels, _ in rows), default=0)
+    columns = [*lead, *(f"bel_s{j}" for j in range(1, n + 1)), *tail]
+    return columns, [[*head, *bels, *[None] * (n - len(bels)), *end] for head, bels, end in rows]
 
 
 def emit_trajectory(
@@ -469,34 +464,34 @@ def emit_trajectory(
 ) -> Path:
     """Write trajectory samples: operator, iteration, mean Bel per state, Pl(best).
 
-    ``trajectories``: one ``(operator, iterations, bel_by_state, pl_best)`` per operator.
+    ``trajectories``: one ``(operator, iterations, bel_by_state, pl_best)`` per
+    operator.  Frames may differ in size; a smaller frame's extra states are blank.
     """
     path = Path(path)
-    n = trajectories[0][2].shape[1]
-    columns = (
-        ["operator", "iteration"]
-        + [f"bel_s{j}" for j in range(1, n + 1)]
-        + ["pl_best"]
-    )
     rows = [
-        [operator, int(t)] + [float(v) for v in bel_by_state[i]] + [float(pl_best[i])]
+        ([operator, int(t)], [float(v) for v in bel_by_state[i]], [float(pl_best[i])])
         for operator, iterations, bel_by_state, pl_best in trajectories
         for i, t in enumerate(iterations)
     ]
-    _write_table(path, columns, rows, fmt)
+    _write_table(path, *_state_table(("operator", "iteration"), rows, ("pl_best",)), fmt)
     return path
 
 
-def mean_trajectory(
-    results: Sequence[RunResult], stride: int, max_iterations: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def mean_trajectory(results: Sequence[RunResult]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Average sampled trajectories over runs on a common iteration grid.
 
-    Converged runs hold their steady state, so samples past a run's final
-    iteration reuse its last recorded value.
+    The grid steps from 0 to the runs' iteration cap by their trajectory
+    stride, which all runs must share, with their frame size.  Converged runs
+    hold their steady state, so samples past a run's final iteration reuse its
+    last recorded value.
     """
+    grids = {(res.config.trajectory_stride, res.config.max_iterations, res.config.n)
+             for res in results}
+    if len(grids) != 1 or not min(grids)[0]:
+        raise ValueError("runs must share one nonzero trajectory_stride, one max_iterations"
+                         f" and one n; got (stride, cap, n) = {sorted(grids)}")
+    (stride, max_iterations, n), = grids
     grid = np.arange(0, max_iterations + 1, stride)
-    n = results[0].trajectory_bel.shape[1]
     bel_sum = np.zeros((grid.size, n))
     pl_sum = np.zeros(grid.size)
     for res in results:
@@ -651,12 +646,9 @@ def reproduce(
     )
     if keep:
         by_operator: dict[str, list[RunResult]] = {}
-        for cell, _, result in sweep.results:
-            by_operator.setdefault(cell.operator, []).append(result)
-        trajectories = [
-            (operator, *mean_trajectory(results, spec.trajectory_stride, spec.max_iterations))
-            for operator, results in sorted(by_operator.items())
-        ]
+        for _, _, result in sweep.results:
+            by_operator.setdefault(result.config.operator, []).append(result)
+        trajectories = [(op, *mean_trajectory(runs)) for op, runs in sorted(by_operator.items())]
         written.append(
             emit_trajectory(trajectories, out_dir / f"{figure}_trajectory{suffix}", fmt)
         )

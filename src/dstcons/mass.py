@@ -217,7 +217,7 @@ def get_combiner(name: str):
     """Look up a combination operator by name; raises on unknown names."""
     try:
         return COMBINERS[name]
-    except KeyError:
+    except (KeyError, TypeError):
         raise ValueError(
             f"unknown operator {name!r}; expected one of {sorted(COMBINERS)}"
         ) from None

@@ -4,10 +4,13 @@ A refactor that renames or breaks something the benchmark hooks into
 (``bench/tracing.py``, ``bench/checks.py``) fails here rather than only when
 the benchmark is run.  So does an engine change that stops combining through
 ``simulation.get_combiner``, which the dense-recombination check samples: the
-check would otherwise drop out of the output without failing.
+check would otherwise drop out of the output without failing.  Every metric
+must print as a finite number: a NaN or infinity would make the traced run's
+JSON result line invalid.
 """
 
 import json
+import math
 import re
 import subprocess
 import sys
@@ -18,6 +21,16 @@ BENCH_RUN = ROOT / "bench" / "run.py"
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = [workload["name"] for workload in BENCHMARK["workloads"]]
 DENSE_CHECK = r"# {}: check dense recombination \(\w+\): pass x(\d+)"
+METRIC = r"\S+ = (\S+) \S+"
+
+
+def is_finite_metric(line: str) -> bool:
+    """True for a ``name = value unit`` line whose value is a finite float."""
+    match = re.fullmatch(METRIC, line)
+    try:
+        return bool(match) and math.isfinite(float(match[1]))
+    except ValueError:
+        return False
 
 
 def test_bench_smoke_passes():
@@ -28,6 +41,10 @@ def test_bench_smoke_passes():
     assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-4000:]
     lines = proc.stdout.rstrip().splitlines()
     assert lines[-1] == '{"smoke": "ok"}'
+    # Apart from that last line, every line is a "#" note or a finite metric.
+    metrics = [line for line in lines[:-1] if not line.startswith("#")]
+    bad = [line for line in metrics if not is_finite_metric(line)]
+    assert metrics and not bad, bad
     # Each workload's untraced block ends at its "# smoke W trace=0" line.
     untraced, block = {}, []
     for line in lines:

@@ -145,7 +145,7 @@ class TestImageExtension:
             coords = np.zeros(8)
             for a, v in m.focal.items():
                 coords[a] = v
-            image = _self_image(op, coords, 3)
+            image = _self_image(op, coords)
             expected = combine(m, m)
             for a in range(1, 8):
                 assert image[a] == pytest.approx(expected.focal.get(a, 0.0), abs=1e-12)
@@ -168,7 +168,7 @@ class TestImageExtension:
                 except TotalConflictError:
                     skipped += 1
                     continue
-                np.testing.assert_array_equal(_self_image(op, coords, n), expected)
+                np.testing.assert_array_equal(_self_image(op, coords), expected)
                 checked += 1
         assert checked >= 3 * skipped
 

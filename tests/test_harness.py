@@ -22,6 +22,7 @@ from dstcons import (
     emit_csv,
     preset_spec,
     reproduce,
+    run,
     run_sweep,
     summarize_convergence_time,
 )
@@ -39,6 +40,7 @@ from dstcons.harness import (
     mean_trajectory,
     parse_sweep_config,
     resolve_workers,
+    summarize_cell,
     sweep_spec_from_config,
 )
 
@@ -241,6 +243,38 @@ class TestEmission:
             emit_trajectory([trajectory], path, fmt="xml")
         assert not path.parent.exists()
 
+    # Two frame sizes in one file: the n=3 rows get a blank bel_s4, and every
+    # row's Pl(best) stays under pl_best.
+    MIXED_TRAJECTORIES = [
+        ("yager", np.array([0, 1]), np.zeros((2, 3)), np.ones(2)),
+        ("dempster", np.array([0]), np.zeros((1, 4)), np.ones(1)),
+    ]
+
+    def test_trajectory_mixed_frames_csv(self, tmp_path):
+        path = emit_trajectory(self.MIXED_TRAJECTORIES, tmp_path / "mixed.csv")
+        assert path.read_text() == (
+            "operator,iteration,bel_s1,bel_s2,bel_s3,bel_s4,pl_best\n"
+            "yager,0,0,0,0,,1\n"
+            "yager,1,0,0,0,,1\n"
+            "dempster,0,0,0,0,0,1\n"
+        )
+
+    def test_trajectory_mixed_frames_json(self, tmp_path):
+        path = emit_trajectory(self.MIXED_TRAJECTORIES, tmp_path / "mixed.json", fmt="json")
+        rows = json.loads(path.read_text())
+        assert [list(row) for row in rows] == [
+            ["operator", "iteration", "bel_s1", "bel_s2", "bel_s3", "bel_s4", "pl_best"]
+        ] * 3
+        assert [row["bel_s4"] for row in rows] == [None, None, 0.0]
+        assert [row["pl_best"] for row in rows] == [1.0, 1.0, 1.0]
+
+    @pytest.mark.parametrize(
+        "fmt, text", [("csv", "operator,iteration,pl_best\n"), ("json", "[]\n")], ids=["csv", "json"]
+    )
+    def test_empty_trajectory_yields_header_only(self, tmp_path, fmt, text):
+        path = emit_trajectory([], tmp_path / f"empty.{fmt}", fmt=fmt)
+        assert path.read_text() == text
+
     def test_reproduce_rejects_unknown_format_before_running(self, tmp_path, monkeypatch):
         def no_sweep(*args, **kwargs):
             raise AssertionError("run_sweep called before the format was checked")
@@ -323,15 +357,13 @@ class TestConvergenceTimeSummary:
         # A run that never changes detects convergence at the window length
         # but reports zero iterations of actual dynamics.
         from dstcons import SimConfig, run
-        from dstcons.harness import Cell, _make_record
+        from dstcons.harness import _make_record
 
         config = SimConfig(
             operator="yager", k=3, n=3, r=0.0, consensus_enabled=False, seed=0
         )
         result = run(config)
-        record = _make_record(
-            Cell("yager", 3, 0.0, 0.0, False, 0, 0), 0, result
-        )
+        record = _make_record(0, result)
         assert record.convergence_iteration == 100
         assert record.stasis_iteration == 0
 
@@ -344,6 +376,20 @@ class TestSummaryContents:
             assert summary.mean_bel_top2 >= summary.mean_bel_best - 1e-12
         for record in sweep.records:
             assert len(record.mean_bel) == record.n
+
+    def test_summary_labels_come_from_records(self):
+        sweep = run_sweep(MIXED_SPEC)
+        per_cell = MIXED_SPEC.runs_per_cell
+        for i, summary in enumerate(sweep.summaries):
+            assert summarize_cell(sweep.records[i * per_cell : (i + 1) * per_cell]) == summary
+        assert (summary.operator, summary.n, summary.k) == ("yager", 4, MIXED_SPEC.k)
+
+    @pytest.mark.parametrize("pick", [slice(1, 3), slice(0, 0)])
+    def test_summary_refuses_records_of_no_single_cell(self, pick):
+        # Records 1 and 2 straddle the first two cells.
+        records = run_sweep(SMALL_SPEC).records[pick]
+        with pytest.raises(ValueError, match="one cell"):
+            summarize_cell(records)
 
     def test_trajectory_ends_on_record_values(self):
         # The last trajectory sample and the runs file describe the same
@@ -370,7 +416,7 @@ class TestMeanTrajectory:
         )
         sweep = run_sweep(spec, keep_results=True)
         results = [res for _, _, res in sweep.results]
-        grid, bel_means, pl_means = mean_trajectory(results, 20, 400)
+        grid, bel_means, pl_means = mean_trajectory(results)
         assert grid[0] == 0 and grid[-1] == 400
         assert bel_means.shape == (grid.size, 3)
         final_expected = np.mean(
@@ -378,6 +424,34 @@ class TestMeanTrajectory:
         )
         np.testing.assert_allclose(bel_means[-1], final_expected)
         assert np.all(pl_means >= 0) and np.all(pl_means <= 1)
+
+    @staticmethod
+    def _run(**fields):
+        config = {"operator": "yager", "k": 3, "r": 0.5, "max_iterations": 20,
+                  "trajectory_stride": 10, **fields}
+        return run(SimConfig(**config))
+
+    def test_grid_comes_from_the_runs(self):
+        grid, bel_means, _ = mean_trajectory([self._run(trajectory_stride=7)] * 2)
+        assert grid.tolist() == [0, 7, 14]
+        assert bel_means.shape == (3, 3)
+
+    @pytest.mark.parametrize("other", [
+        {"trajectory_stride": 7},
+        {"max_iterations": 30},
+        {"n": 4},
+    ])
+    def test_runs_on_different_grids_are_refused(self, other):
+        with pytest.raises(ValueError, match="runs must share"):
+            mean_trajectory([self._run(), self._run(**other)])
+
+    def test_unsampled_runs_are_refused(self):
+        with pytest.raises(ValueError, match="nonzero trajectory_stride"):
+            mean_trajectory([self._run(trajectory_stride=0)])
+
+    def test_no_runs_are_refused(self):
+        with pytest.raises(ValueError, match="runs must share"):
+            mean_trajectory([])
 
 
 class TestConfigParsing:
@@ -521,6 +595,22 @@ class TestSpecValidation:
         with pytest.raises(ConfigError) as spec_error:
             SweepSpec(**{"operators": ("yager",), **spec_kwargs})
         assert str(spec_error.value) == str(config_error.value)
+
+    # Grid values of the wrong type, each failing with a message naming its field.
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"operators": (["yager"],)}, r"unknown operator \['yager'\]"),
+        ({"n_values": ([3],)}, "n must be an integer"),
+        ({"r_values": ({0.5},)}, "r must be a real number"),
+        ({"n_values": 3}, "n_values must be a sequence"),
+        ({"operators": "yager"}, "operators must be a sequence"),
+    ])
+    def test_grid_type_errors_name_the_field(self, kwargs, message):
+        with pytest.raises(ConfigError, match=message):
+            SweepSpec(**{"operators": ("yager",), **kwargs})
+
+    def test_lists_and_ranges_are_accepted(self):
+        spec = SweepSpec(operators=["yager"], n_values=range(3, 5), r_values=[0.5])
+        assert (spec.operators, spec.n_values, spec.r_values) == (("yager",), (3, 4), (0.5,))
 
     @settings(max_examples=500, deadline=None)
     @given(

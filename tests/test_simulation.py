@@ -34,6 +34,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SimConfig(operator="bogus")
 
+    def test_unhashable_operator_is_refused(self):
+        with pytest.raises(ValueError, match=r"unknown operator \['yager'\]"):
+            SimConfig(operator=["yager"])
+
     def test_consensus_needs_two_agents(self):
         with pytest.raises(ValueError):
             SimConfig(operator="yager", k=1)
