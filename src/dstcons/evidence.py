@@ -27,15 +27,18 @@ def evidence_mass(
     """Evidence for state ``s_i``: singleton mass ``q_i + epsilon`` clamped to [0, 1].
 
     A clamped value of 0 degenerates to the vacuous mass function (the
-    evidence is then a no-op under every combination operator).
+    evidence is then a no-op under every combination operator).  A NaN
+    ``q_i + epsilon`` is refused; an infinite one clamps like any other.
     """
     v = min(max(q_i + epsilon, 0.0), 1.0)
+    if not 0.0 <= v <= 1.0:
+        raise ValueError(f"q_i + epsilon must be a number, got {q_i!r} + {epsilon!r}")
     singleton = frame.singleton(i)
     if v == 0.0:
         return make_vacuous(frame)
     if v == 1.0:
-        return MassFunction(frame, {singleton: 1.0})
-    return MassFunction(frame, {singleton: v, frame.full_set: 1.0 - v})
+        return MassFunction._trusted(frame, {singleton: 1.0})
+    return MassFunction._trusted(frame, {singleton: v, frame.full_set: 1.0 - v})
 
 
 def select_state(m: MassFunction, rng: np.random.Generator) -> int:

@@ -52,6 +52,8 @@ class FrameOfDiscernment:
 
     def singleton(self, i: int) -> int:
         """Bitmask of the single state ``s_i`` (1-based)."""
+        if not isinstance(i, int):
+            raise ValueError(f"state index must be an integer, got {i!r}")
         if not 1 <= i <= self.n:
             raise ValueError(f"state index {i} outside 1..{self.n}")
         return 1 << (i - 1)
@@ -79,6 +81,8 @@ class MassFunction:
     ``focal`` maps subset bitmasks to masses.  Construction validates the
     invariants (no empty set, positive entries, total 1 within ``EPS_NORM``).
     ``focal`` must not be mutated: one instance may be held by several agents.
+    Masses computed from masses that were already checked (the combiners'
+    results, pruning, evidence) are built by ``_trusted`` and not checked again.
     """
 
     __slots__ = ("frame", "focal")
@@ -96,6 +100,18 @@ class MassFunction:
             raise ValueError(f"masses must total 1 within {EPS_NORM}, got {total!r}")
         self.frame = frame
         self.focal = dict(focal)
+
+    @staticmethod
+    def _trusted(frame: FrameOfDiscernment, focal: dict[int, float]) -> MassFunction:
+        """Wrap ``focal`` as is: no check, no copy.
+
+        The caller guarantees the invariants and hands over a dict that
+        nothing else holds or mutates.
+        """
+        m = object.__new__(MassFunction)
+        m.frame = frame
+        m.focal = focal
+        return m
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MassFunction):
@@ -143,12 +159,10 @@ def pignistic(m: MassFunction) -> list[float]:
     probs = [0.0] * m.frame.n
     for subset, value in m.focal.items():
         share = value / subset.bit_count()
-        i = 0
         while subset:
-            if subset & 1:
-                probs[i] += share
-            subset >>= 1
-            i += 1
+            low = subset & -subset
+            probs[low.bit_length() - 1] += share
+            subset ^= low
     return probs
 
 
@@ -229,11 +243,11 @@ def renormalize(m: MassFunction) -> MassFunction:
     ``m`` itself is returned when nothing is dropped: the combiners already
     normalise their result.
     """
-    kept = {a: v for a, v in m.focal.items() if v >= EPS_PRUNE}
-    if len(kept) == len(m.focal):
+    if min(m.focal.values()) >= EPS_PRUNE:
         return m
+    kept = {a: v for a, v in m.focal.items() if v >= EPS_PRUNE}
     total = fsum(kept.values())
-    return MassFunction(m.frame, {a: v / total for a, v in kept.items()})
+    return MassFunction._trusted(m.frame, {a: v / total for a, v in kept.items()})
 
 
 def approx_eq(m1: MassFunction, m2: MassFunction, eps: float = EPS_NORM) -> bool:
@@ -246,7 +260,8 @@ def approx_eq(m1: MassFunction, m2: MassFunction, eps: float = EPS_NORM) -> bool
 
 
 def _check_same_frame(m1: MassFunction, m2: MassFunction) -> None:
-    if m1.frame != m2.frame:
+    # The agents of a run share one frame object: skip the field comparison.
+    if m1.frame is not m2.frame and m1.frame != m2.frame:
         raise ValueError(f"frame mismatch: n={m1.frame.n} vs n={m2.frame.n}")
 
 
@@ -280,5 +295,7 @@ def _dubois_prade_products(f1: Mapping, f2: Mapping) -> dict[int, float]:
 
 def _from_products(frame: FrameOfDiscernment, raw: dict[int, float]) -> MassFunction:
     # Defensive rescale against rounding drift; exact zeros (underflow) dropped.
+    # Products of two checked masses are finite and total 1 (1 - K > EPS_NORM
+    # for Dempster), so the result needs no further check.
     total = fsum(raw.values())
-    return MassFunction(frame, {a: v / total for a, v in raw.items() if v > 0.0})
+    return MassFunction._trusted(frame, {a: v / total for a, v in raw.items() if v > 0.0})

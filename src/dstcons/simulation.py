@@ -121,13 +121,14 @@ def evidence_step(
     preserving = config.operator in CERTAINTY_PRESERVING
     skips = 0
     gates = rng.random(config.k)
-    for idx in np.flatnonzero(gates < config.r):
+    quality = qualities.tolist()
+    for idx in (gates < config.r).nonzero()[0].tolist():
         m = agents[idx]
         i = select_state(m, rng)
-        epsilon = float(rng.standard_normal()) * config.sigma
+        epsilon = rng.standard_normal() * config.sigma
         if preserving and len(m.focal) == 1 and m.focal.get(1 << (i - 1)) == 1.0:
             continue
-        ev = evidence_mass(m.frame, i, float(qualities[i - 1]), epsilon)
+        ev = evidence_mass(m.frame, i, quality[i - 1], epsilon)
         updated = _fuse(combine, m, ev)
         if updated is None:
             skips += 1

@@ -7,7 +7,8 @@ oracle.  The spectral radius by repeated squaring, the windowed convergence
 check and the two-pass normalisation are second routes to what ``classify``,
 ``run`` and ``renormalize`` compute their own way.  The evidence step and the
 state selection without their shortcut for certain agents are the references
-the shortcut is replayed against.
+the shortcut is replayed against.  The bit-position pignistic loop is the
+reference for ``pignistic``'s walk over set bits.
 """
 
 from __future__ import annotations
@@ -97,6 +98,20 @@ def pignistic_dense(v: np.ndarray, n: int) -> np.ndarray:
         for i in members:
             p[i] += v[a] / len(members)
     return p
+
+
+def pignistic_reference(m: MassFunction) -> list[float]:
+    """``pignistic`` by testing every bit position of each focal set."""
+    probs = [0.0] * m.frame.n
+    for subset, value in m.focal.items():
+        share = value / subset.bit_count()
+        i = 0
+        while subset:
+            if subset & 1:
+                probs[i] += share
+            subset >>= 1
+            i += 1
+    return probs
 
 
 def random_mass(

@@ -6,7 +6,9 @@ the benchmark is run.  So does an engine change that stops combining through
 ``simulation.get_combiner``, which the dense-recombination check samples: the
 check would otherwise drop out of the output without failing.  Every metric
 must print as a finite number: a NaN or infinity would make the traced run's
-JSON result line invalid.
+JSON result line invalid.  Each workload's traced block must print every
+per-layer metric that ``BENCHMARK.json`` declares, so a boundary the engine
+stops crossing fails here rather than leaving a metric out of the result.
 """
 
 import json
@@ -21,14 +23,17 @@ BENCH_RUN = ROOT / "bench" / "run.py"
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = [workload["name"] for workload in BENCHMARK["workloads"]]
 DENSE_CHECK = r"# {}: check dense recombination \(\w+\): pass x(\d+)"
-METRIC = r"\S+ = (\S+) \S+"
+METRIC = r"(\S+) = (\S+) \S+"
+# The smoke size classifies fixed points at n=3 only.
+NOT_IN_SMOKE = {"fixedpoint.classify_ms.n5", "fixedpoint.classify_ms.n8"}
+PER_LAYER = {metric["name"] for metric in BENCHMARK["per_layer"]} - NOT_IN_SMOKE
 
 
 def is_finite_metric(line: str) -> bool:
     """True for a ``name = value unit`` line whose value is a finite float."""
     match = re.fullmatch(METRIC, line)
     try:
-        return bool(match) and math.isfinite(float(match[1]))
+        return bool(match) and math.isfinite(float(match[2]))
     except ValueError:
         return False
 
@@ -45,18 +50,22 @@ def test_bench_smoke_passes():
     metrics = [line for line in lines[:-1] if not line.startswith("#")]
     bad = [line for line in metrics if not is_finite_metric(line)]
     assert metrics and not bad, bad
-    # Each workload's untraced block ends at its "# smoke W trace=0" line.
-    untraced, block = {}, []
+    # Each workload's block for trace T ends at its "# smoke W trace=T" line.
+    blocks, block = {"0": {}, "1": {}}, []
     for line in lines:
         done = re.fullmatch(r"# smoke (\w+) trace=(\d): \w+", line)
         if done:
-            if done[2] == "0":
-                untraced[done[1]] = block
+            blocks[done[2]][done[1]] = block
             block = []
         else:
             block.append(line)
-    assert sorted(untraced) == sorted(WORKLOADS)
+    untraced, traced = blocks["0"], blocks["1"]
+    assert sorted(untraced) == sorted(traced) == sorted(WORKLOADS)
     for name, block in untraced.items():
         matches = [re.fullmatch(DENSE_CHECK.format(name), line) for line in block]
         passes = [int(m[1]) for m in matches if m]
         assert passes and min(passes) >= 1, (name, block)
+    for name, block in traced.items():
+        matches = [re.fullmatch(METRIC, line) for line in block]
+        printed = {m[1] for m in matches if m}
+        assert not PER_LAYER - printed, (name, sorted(PER_LAYER - printed))

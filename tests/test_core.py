@@ -17,6 +17,7 @@ from dstcons import (
     combine_dubois_prade,
     combine_yager,
     conflict,
+    evidence_mass,
     format_mass,
     get_combiner,
     make_vacuous,
@@ -25,7 +26,7 @@ from dstcons import (
     renormalize,
 )
 
-from oracle import combine_dense, dense
+from oracle import combine_dense, dense, pignistic_reference, random_mass
 
 F2 = FrameOfDiscernment(2)
 F3 = FrameOfDiscernment(3)
@@ -58,6 +59,8 @@ class TestFrame:
         for i in (0, 4):
             with pytest.raises(ValueError, match=f"state index {i} outside 1..3"):
                 F3.singleton(i)
+        with pytest.raises(ValueError, match="state index must be an integer"):
+            F3.singleton(np.int64(2))
         assert F3.members(5) == (1, 3)
         with pytest.raises(ValueError):
             F3.check_subset(0)
@@ -133,6 +136,15 @@ class TestPignistic:
 
     def test_categorical(self):
         np.testing.assert_allclose(pignistic(CAT_S2), [0.0, 1.0, 0.0])
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_matches_bit_position_reference_exactly(self, n):
+        rng = np.random.default_rng(n)
+        frame = FrameOfDiscernment(n)
+        for max_focal in (1, 3, 16, None):
+            for _ in range(10):
+                m = random_mass(rng, frame, max_focal)
+                assert pignistic(m) == pignistic_reference(m)
 
 
 class TestConflict:
@@ -353,3 +365,57 @@ def test_yager_universal_set_mass_equivalence(pair):
 def test_pignistic_totals_one(pair):
     m, _ = pair
     assert sum(pignistic(m)) == pytest.approx(1.0, abs=EPS_NORM)
+
+
+@st.composite
+def checked_operands(draw):
+    """Two valid mass functions on one frame with n in 2..8.
+
+    Sparse random pairs; pairs of simple support functions on two different
+    singletons whose conflict K = (1 - d)^2 sits within a hair of Dempster's
+    total-conflict limit; and pairs where one operand holds a subnormal mass.
+    """
+    n = draw(st.integers(2, 8))
+    frame = FrameOfDiscernment(n)
+    full = frame.full_set
+    kind = draw(st.sampled_from(["random", "near_total_conflict", "subnormal"]))
+    if kind == "near_total_conflict":
+        d = 10.0 ** draw(st.floats(-12.0, -6.0))
+        return (
+            MassFunction(frame, {frame.singleton(1): 1.0 - d, full: d}),
+            MassFunction(frame, {frame.singleton(n): 1.0 - d, full: d}),
+        )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m1, m2 = random_mass(rng, frame, 8), random_mass(rng, frame, 8)
+    if kind == "subnormal":
+        tiny = draw(st.sampled_from([5e-324, 1e-310, 2.2e-308]))
+        certain = draw(st.integers(1, full - 1))
+        m1 = MassFunction(frame, {certain: 1.0, full: tiny})
+    return m1, m2
+
+
+@settings(max_examples=300, deadline=None)
+@given(checked_operands())
+def test_unchecked_results_pass_the_public_checks(pair):
+    # Combiner and pruning results skip MassFunction's checks: rebuilding
+    # each through the public constructor must succeed and change nothing.
+    m1, m2 = pair
+    outputs = [renormalize(m1), renormalize(m2)]
+    for op in ALL_COMBINERS:
+        out = _combine_or_skip(op, m1, m2)
+        if out is not None:
+            outputs += [out, renormalize(out)]
+    for m in outputs:
+        assert MassFunction(m.frame, m.focal) == m
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(2, 8).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+    st.floats(0.0, 1.0),
+    st.floats(allow_nan=False),
+)
+def test_evidence_masses_pass_the_public_checks(state, q, epsilon):
+    n, i = state
+    m = evidence_mass(FrameOfDiscernment(n), i, q, epsilon)
+    assert MassFunction(m.frame, m.focal) == m

@@ -56,6 +56,21 @@ class TestEvidenceMass:
         m = evidence_mass(F3, 2, 0.5, 0.7)
         assert m.focal == {2: 1.0}
 
+    def test_infinite_noise_clamps(self):
+        assert evidence_mass(F3, 2, 0.5, float("inf")).focal == {2: 1.0}
+        assert evidence_mass(F3, 2, 0.5, float("-inf")).focal == {7: 1.0}
+
+    @pytest.mark.parametrize(
+        "q, epsilon", [(float("nan"), 0.0), (0.5, float("nan")), (float("inf"), float("-inf"))]
+    )
+    def test_rejects_nan(self, q, epsilon):
+        with pytest.raises(ValueError, match=r"q_i \+ epsilon must be a number"):
+            evidence_mass(F3, 3, q, epsilon)
+
+    def test_rejects_non_integer_state(self):
+        with pytest.raises(ValueError, match="state index must be an integer"):
+            evidence_mass(F3, np.int64(3), 0.5)
+
     def test_belief_equals_quality(self):
         for q in (0.1, 0.25, 0.5, 0.9):
             m = evidence_mass(F3, 2, q)

@@ -28,6 +28,23 @@ from oracle import check_convergence, evidence_step_reference, renormalize_refer
 
 F3 = FrameOfDiscernment(3)
 
+# A small sweep over all four operators at both evidence-rate extremes, for
+# paired replays of an engine change that must not move a bit.
+REPLAY_SPEC = SweepSpec(
+    operators=tuple(sorted(COMBINERS)), n_values=(3, 5), k=20,
+    r_values=(0.05, 1.0), sigma_values=(0.0, 0.1), runs_per_cell=1,
+    max_iterations=300,
+)
+
+
+def replay_outcome():
+    """``REPLAY_SPEC``'s records (skips included) and every final agent's
+    focal items, in insertion order."""
+    sweep = run_sweep(REPLAY_SPEC, workers=1, keep_results=True)
+    finals = [[list(m.focal.items()) for m in result.steady_state]
+              for _, _, result in sweep.results]
+    return sweep.records, finals
+
 
 class TestConfigValidation:
     def test_unknown_operator(self):
@@ -456,17 +473,22 @@ class TestCertainAgentShortcut:
             assert holds == (op in CERTAINTY_PRESERVING), op
 
     def test_paired_replay_against_evidence_step_without_shortcut(self, monkeypatch):
-        spec = SweepSpec(
-            operators=tuple(sorted(COMBINERS)), n_values=(3, 5), k=20,
-            r_values=(0.05, 1.0), sigma_values=(0.0, 0.1), runs_per_cell=1,
-            max_iterations=300,
-        )
-        current = run_sweep(spec, workers=1, keep_results=True)
+        current = replay_outcome()
         monkeypatch.setattr(simulation, "evidence_step", evidence_step_reference)
-        reference = run_sweep(spec, workers=1, keep_results=True)
-        assert current.records == reference.records
-        for (_, _, a), (_, _, b) in zip(current.results, reference.results):
-            assert a.dempster_skips == b.dempster_skips
-            assert [list(m.focal.items()) for m in a.steady_state] == [
-                list(m.focal.items()) for m in b.steady_state
-            ]
+        assert replay_outcome() == current
+
+
+class TestUncheckedConstruction:
+    """Masses built from checked masses skip the constructor's checks, bit for bit."""
+
+    def test_paired_replay_with_every_mass_checked(self, monkeypatch):
+        unchecked = replay_outcome()
+        built = []
+
+        def checked(frame, focal):
+            built.append(focal)
+            return MassFunction(frame, focal)
+
+        monkeypatch.setattr(MassFunction, "_trusted", checked)
+        assert replay_outcome() == unchecked
+        assert built
