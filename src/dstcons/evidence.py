@@ -26,8 +26,9 @@ def evidence_mass(
 ) -> MassFunction:
     """Evidence for state ``s_i``: singleton mass ``q_i + epsilon`` clamped to [0, 1].
 
-    A clamped value of 0 degenerates to the vacuous mass function (the
-    evidence is then a no-op under every combination operator).  A NaN
+    A clamped value of 0 degenerates to the vacuous mass function.  Dempster,
+    Yager and D&P then leave the agent as it was, up to the rounding of their
+    rescale to total 1; averaging moves it halfway to the vacuous mass.  A NaN
     ``q_i + epsilon`` is refused; an infinite one clamps like any other.
     """
     v = min(max(q_i + epsilon, 0.0), 1.0)

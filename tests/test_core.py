@@ -25,6 +25,8 @@ from dstcons import (
     pl,
     renormalize,
 )
+from dstcons import mass
+from dstcons.mass import _dubois_prade_arrays, _dubois_prade_loop
 
 from oracle import combine_dense, dense, pignistic_reference, random_mass
 
@@ -188,6 +190,60 @@ class TestDuboisPrade:
     def test_disjoint_pair_takes_union(self):
         out = combine_dubois_prade(CAT_S1, CAT_S2)
         assert_mass_equals(out, {3: 1.0})
+
+
+DP_VALUES = ("mass", "signed", "tiny")
+
+
+def _dp_operand(rng, n, count, values):
+    """``count`` distinct subsets of an n-state frame in random order, with
+    normalised masses, signed off-simplex values, or values whose products
+    underflow to subnormals and to (signed) zeros."""
+    subsets = rng.permutation(np.arange(1, 1 << n))[:count].tolist()
+    if values == "mass":
+        v = rng.random(count) + 1e-6
+        v /= v.sum()
+    elif values == "signed":
+        v = rng.normal(0.0, 1.0, count)
+    else:
+        v = rng.choice([0.0, 5e-324, 1e-200, -1e-200, 1e-160, -1e-160, 0.3, -0.7], count)
+    return dict(zip(subsets, v.tolist()))
+
+
+class TestDuboisPradeArrayKernel:
+    """Wide D&P operands are combined on arrays, to the dict loop's exact items."""
+
+    @staticmethod
+    def assert_same_items(f1, f2):
+        # Same keys, same insertion order, values equal.
+        assert list(_dubois_prade_arrays(f1, f2).items()) == list(
+            _dubois_prade_loop(f1, f2).items())
+
+    @pytest.mark.parametrize("values", DP_VALUES)
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_matches_the_dict_loop_exactly(self, n, values):
+        rng = np.random.default_rng([n, DP_VALUES.index(values)])
+        # Pair counts from 4 to 360,000, on both sides of the crossover; 2
+        # focal sets is an evidence operand; 255 x 255 spans 16 row blocks.
+        counts = sorted({min(c, (1 << n) - 1) for c in (2, 7, 20, 30, 255, 600)})
+        for c1 in counts:
+            for c2 in counts:
+                f1 = _dp_operand(rng, n, c1, values)
+                f2 = _dp_operand(rng, n, c2, values)
+                self.assert_same_items(f1, f2)
+
+    def test_path_chosen_by_pair_count_and_frame_width(self, monkeypatch):
+        taken = []
+        monkeypatch.setattr(mass, "_dubois_prade_arrays", lambda f1, f2: taken.append(1))
+        rng = np.random.default_rng(0)
+        f20, f19, f21 = (_dp_operand(rng, 8, c, "mass") for c in (20, 19, 21))
+        mass._dubois_prade_products(f19, f21)  # 399 pairs
+        assert not taken
+        mass._dubois_prade_products(f20, f20)  # 400 pairs
+        assert len(taken) == 1
+        wide = {1 << 16: 0.5, **_dp_operand(rng, 8, 19, "mass")}
+        mass._dubois_prade_products(wide, f20)  # a 17-state subset
+        assert len(taken) == 1
 
 
 class TestYager:

@@ -1,8 +1,11 @@
 """Tests for the population dynamics: stepping, convergence, full runs."""
 
+import math
+
 import numpy as np
 import pytest
 
+import dstcons.mass as mass
 import dstcons.simulation as simulation
 from dstcons import (
     FrameOfDiscernment,
@@ -427,7 +430,8 @@ class TestRun:
 
 
 class TestSingleNormalisation:
-    """``run`` normalises once per update; the old second pass moved only ulps."""
+    """``run`` normalises once per update; the old second pass moved only ulps.
+    Wide D&P products are summed on arrays, to the dict loop's exact bits."""
 
     @pytest.mark.parametrize("op", ["dempster", "dubois_prade", "yager", "average"])
     def test_paired_replay_against_double_normalisation(self, op, monkeypatch):
@@ -445,6 +449,47 @@ class TestSingleNormalisation:
             for x, y in zip(a.steady_state, b.steady_state):
                 assert x.focal.keys() == y.focal.keys()
                 assert approx_eq(x, y, 1e-14)
+
+    def test_paired_replay_against_the_dubois_prade_dict_loop(self, monkeypatch):
+        # Seed 5 is the n=5 run that reaches the array path; seeds 0 and 5 at
+        # n=10 take seconds on the dict loop.
+        configs = [
+            SimConfig(operator="dubois_prade", k=30, n=n, r=r, sigma=sigma, seed=seed,
+                      max_iterations=300, trajectory_stride=10)
+            for n, r, sigma, seeds in [(5, 0.5, 0.2, range(6)), (8, 0.05, 0.0, range(1, 5)),
+                                       (10, 0.05, 0.0, range(1, 5))]
+            for seed in seeds
+        ]
+        arrays = mass._dubois_prade_arrays
+        array_calls = []
+
+        def counted(f1, f2):
+            array_calls.append(1)
+            return arrays(f1, f2)
+
+        def replay():
+            """Each run, and the n of the runs that reached the array path."""
+            results, reached = [], set()
+            for config in configs:
+                array_calls.clear()
+                results.append(run(config))
+                if array_calls:
+                    reached.add(config.n)
+            return results, reached
+
+        monkeypatch.setattr(mass, "_dubois_prade_arrays", counted)
+        current, reached = replay()
+        assert reached == {5, 8, 10}
+        monkeypatch.setattr(mass, "_DP_ARRAY_MIN_PAIRS", math.inf)
+        reference, reached = replay()
+        assert not reached
+        for a, b in zip(current, reference):
+            assert a.convergence_iteration == b.convergence_iteration
+            assert a.dempster_skips == b.dempster_skips
+            for field in ("trajectory_iterations", "trajectory_bel", "trajectory_pl_best"):
+                assert np.array_equal(getattr(a, field), getattr(b, field))
+            assert [list(m.focal.items()) for m in a.steady_state] == [
+                list(m.focal.items()) for m in b.steady_state]
 
 
 class TestCertainAgentShortcut:
