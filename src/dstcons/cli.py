@@ -74,8 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
                              help="residual/stability report for candidate fixed points")
     p_fixed.add_argument("--operator", choices=(*ALL_OPERATORS, "all"), default="all")
     p_fixed.add_argument("--states", type=int, default=3)
-    p_fixed.add_argument("--step", type=float, default=1e-6,
-                         help="finite-difference step")
     p_fixed.add_argument("--out", default="fixedpoints.csv")
     p_fixed.add_argument("--format", choices=FORMATS, default="csv")
     p_fixed.set_defaults(func=_cmd_fixedpoints)
@@ -152,7 +150,7 @@ def _cmd_fixedpoints(args: argparse.Namespace) -> int:
         # Candidates (singletons, then vacuous) are made one at a time, so a
         # frame above the Jacobian's limit fails on the first, before n bitmasks exist.
         for subset in chain(map(frame.singleton, range(1, frame.n + 1)), [frame.full_set]):
-            report = classify(operator, MassFunction(frame, {subset: 1.0}), h=args.step)
+            report = classify(operator, MassFunction(frame, {subset: 1.0}))
             rows.append(
                 [operator, frame.subset_label(subset), report.residual,
                  report.spectral_radius, report.classification, report.boundary]

@@ -54,7 +54,8 @@ class FrameOfDiscernment:
 
     def singleton(self, i: int) -> int:
         """Bitmask of the single state ``s_i`` (1-based)."""
-        if not isinstance(i, int):
+        # An exact type test refuses bools as cheaply as isinstance accepted them.
+        if type(i) is not int:
             raise ValueError(f"state index must be an integer, got {i!r}")
         if not 1 <= i <= self.n:
             raise ValueError(f"state index {i} outside 1..{self.n}")
@@ -66,7 +67,7 @@ class FrameOfDiscernment:
         return tuple(i + 1 for i in range(self.n) if subset >> i & 1)
 
     def check_subset(self, subset: int) -> None:
-        if not isinstance(subset, int) or not 1 <= subset <= self.full_set:
+        if type(subset) is not int or not 1 <= subset <= self.full_set:
             raise ValueError(
                 f"subset index {subset} invalid for n={self.n}; "
                 f"expected 1..{self.full_set} (empty set is not allowed)"
@@ -93,7 +94,7 @@ class MassFunction:
         full = frame.full_set
         total = 0.0
         for subset, value in focal.items():
-            if not isinstance(subset, int) or not 1 <= subset <= full:
+            if type(subset) is not int or not 1 <= subset <= full:
                 raise ValueError(f"invalid focal set index {subset} for n={frame.n}")
             if not value > 0.0:
                 raise ValueError(f"mass for subset {subset} must be > 0, got {value}")

@@ -5,7 +5,8 @@ loops over all (2^n - 1)^2 subset pairs, with no sparsity shortcuts and no
 reuse of the library's combination code, so it can serve as an independent
 oracle.  The spectral radius by repeated squaring, the windowed convergence
 check and the two-pass normalisation are second routes to what ``classify``,
-``run`` and ``renormalize`` compute their own way.  The evidence step and the
+``run`` and ``renormalize`` compute their own way, and the analytic Jacobian
+is the reference for the finite-difference one.  The evidence step and the
 state selection without their shortcut for certain agents are the references
 the shortcut is replayed against.  The bit-position pignistic loop is the
 reference for ``pignistic``'s walk over set bits.
@@ -81,6 +82,34 @@ def conflict_dense(v1: np.ndarray, v2: np.ndarray, n: int) -> float:
             if not a & b:
                 k += v1[a] * v2[b]
     return k
+
+
+def jacobian_exact(op: str, m: MassFunction) -> np.ndarray:
+    """Analytic Jacobian of ``m (+) m`` in the free coordinates (all but the frame).
+
+    Column ``j`` is the derivative along ``d = e_j - e_frame``: the raw
+    products are bilinear, so it is ``B(x, d) + B(d, x)``, and Dempster's rule
+    adds the quotient rule for ``C / (1 - K)``.
+    """
+    n = m.frame.n
+    full = m.frame.full_set
+    x = dense(m)
+    k = conflict_dense(x, x, n)
+    c = combine_dense("yager", x, x, n)
+    jac = np.empty((full - 1, full - 1))
+    for j in range(1, full):
+        d = np.zeros(full + 1)
+        d[j], d[full] = 1.0, -1.0
+        if op == "average":
+            col = d
+        elif op == "dempster":
+            dk = conflict_dense(x, d, n) + conflict_dense(d, x, n)
+            dc = combine_dense("yager", x, d, n) + combine_dense("yager", d, x, n)
+            col = dc / (1.0 - k) + c * dk / (1.0 - k) ** 2
+        else:
+            col = combine_dense(op, x, d, n) + combine_dense(op, d, x, n)
+        jac[:, j - 1] = col[1:full]
+    return jac
 
 
 def bel_dense(v: np.ndarray, subset: int) -> float:

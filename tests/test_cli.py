@@ -225,9 +225,7 @@ def test_fixedpoints_single_operator(tmp_path):
     "flags, message",
     [
         (["--states", "13"], "at most 12 states"),
-        (["--step", "nan"], "step must be positive and finite, got nan"),
-        (["--step", "inf"], "step must be positive and finite, got inf"),
-        (["--operator", "dempster", "--states", "3", "--step", "0.5"], "use a smaller step"),
+        (["--step", "1e-6"], "unrecognized arguments: --step"),
     ],
 )
 def test_fixedpoints_rejects_unbounded_inputs(tmp_path, capsys, flags, message):

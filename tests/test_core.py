@@ -61,19 +61,23 @@ class TestFrame:
         for i in (0, 4):
             with pytest.raises(ValueError, match=f"state index {i} outside 1..3"):
                 F3.singleton(i)
-        with pytest.raises(ValueError, match="state index must be an integer"):
-            F3.singleton(np.int64(2))
+        for i in (np.int64(2), True):
+            with pytest.raises(ValueError, match="state index must be an integer"):
+                F3.singleton(i)
         assert F3.members(5) == (1, 3)
-        with pytest.raises(ValueError):
-            F3.check_subset(0)
-        with pytest.raises(ValueError):
-            F3.check_subset(8)
+        for subset in (0, 8, True):
+            with pytest.raises(ValueError, match=f"subset index {subset} invalid"):
+                F3.check_subset(subset)
 
 
 class TestMassFunctionInvariants:
     def test_rejects_empty_set(self):
         with pytest.raises(ValueError):
             MassFunction(F3, {0: 0.5, 7: 0.5})
+
+    def test_rejects_bool_key(self):
+        with pytest.raises(ValueError, match="invalid focal set index True"):
+            MassFunction(F3, {True: 1.0})
 
     def test_rejects_zero_entry(self):
         with pytest.raises(ValueError):

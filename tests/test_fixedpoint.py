@@ -26,7 +26,7 @@ from dstcons.fixedpoint import (
     _self_image,
     perturbations_leave_simplex,
 )
-from oracle import combine_dense, spectral_radius_power
+from oracle import combine_dense, jacobian_exact, random_mass, spectral_radius_power
 
 F3 = FrameOfDiscernment(3)
 
@@ -192,25 +192,27 @@ class TestJacobian:
         jac = numeric_jacobian("dubois_prade", make_vacuous(F3))
         assert spectral_radius_eig(jac) >= 1.0
 
-    def test_halving_step_shrinks_error_quadratically(self):
-        # Dempster's image is rational, so the truncation term is live.
-        m = MassFunction(F3, {1: 0.3, 2: 0.2, 4: 0.1, 7: 0.4})
-        j1 = numeric_jacobian("dempster", m, h=2e-3)
-        j2 = numeric_jacobian("dempster", m, h=1e-3)
-        j3 = numeric_jacobian("dempster", m, h=5e-4)
-        d1 = np.max(np.abs(j1 - j2))
-        d2 = np.max(np.abs(j2 - j3))
-        assert d1 > 1e-9  # the term being measured is above rounding noise
-        assert d2 < 0.6 * d1
+    @pytest.mark.parametrize("op", ["dempster", "dubois_prade", "yager", "average"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_exact_jacobian(self, op, n):
+        # Every CLI candidate plus three interior points, where Dempster's
+        # rational image makes the truncation term live.
+        frame = FrameOfDiscernment(n)
+        rng = np.random.default_rng(n)
+        points = [
+            *(MassFunction(frame, {frame.singleton(i): 1.0}) for i in range(1, n + 1)),
+            make_vacuous(frame),
+            *(random_mass(rng, frame) for _ in range(3)),
+        ]
+        for m in points:
+            np.testing.assert_allclose(
+                numeric_jacobian(op, m), jacobian_exact(op, m), rtol=0.0, atol=1e-8
+            )
 
-    def test_rejects_nonpositive_step(self):
-        with pytest.raises(ValueError):
-            numeric_jacobian("yager", make_vacuous(F3), h=0.0)
-
-    @pytest.mark.parametrize("h", [float("nan"), float("inf")])
-    def test_rejects_non_finite_step(self, h):
-        with pytest.raises(ValueError, match="step"):
-            numeric_jacobian("yager", make_vacuous(F3), h=h)
+    @pytest.mark.parametrize("op", ["bogus", "Dempster", None])
+    def test_rejects_unknown_operator(self, op):
+        with pytest.raises(ValueError, match="unknown operator"):
+            numeric_jacobian(op, make_vacuous(F3))
 
     def test_rejects_frames_above_the_limit(self):
         # Raised before the (2^n - 2)^2 matrix is allocated.
