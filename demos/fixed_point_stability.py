@@ -3,8 +3,8 @@
 A consensus steady state must be a fixed point of the operator (m (+) m = m).
 This demo classifies the candidate points for n = 3: the three categorical
 beliefs and total ignorance.  Stability comes from the eigenvalues of the
-finite-difference Jacobian of the self-combination map: inside the unit
-circle means perturbations die out.
+exact Jacobian of the self-combination map: inside the unit circle means
+perturbations die out.
 """
 
 import numpy as np

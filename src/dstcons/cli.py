@@ -124,9 +124,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     text = Path(args.config).read_text() if args.config else ""
-    lists = {"operators": args.operator, "n_values": args.states,
-             "r_values": args.evidence_rate, "sigma_values": args.noise}
-    overrides = {key: CONFIG_KEYS[key](value) for key, value in lists.items() if value is not None}
+    lists = {"operators": ("--operator", args.operator), "n_values": ("--states", args.states),
+             "r_values": ("--evidence-rate", args.evidence_rate),
+             "sigma_values": ("--noise", args.noise)}
+    overrides = {}
+    for key, (flag, value) in lists.items():
+        if value is not None:
+            try:
+                overrides[key] = CONFIG_KEYS[key](value)
+            except ValueError as exc:
+                raise ValueError(f"bad value for {flag}: {exc}") from None
     overrides.update(k=args.agents, runs_per_cell=args.runs,
                      max_iterations=args.max_iterations, root_seed=args.seed)
     if args.no_consensus:
@@ -143,18 +150,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_fixedpoints(args: argparse.Namespace) -> int:
     operators = ALL_OPERATORS if args.operator == "all" else (args.operator,)
     frame = FrameOfDiscernment(args.states)
-    columns = ["operator", "subset", "residual", "spectral_radius",
-               "classification", "boundary"]
+    columns = ["operator", "subset", "residual", "spectral_radius", "classification"]
     rows = []
     for operator in operators:
         # Candidates (singletons, then vacuous) are made one at a time, so a
         # frame above the Jacobian's limit fails on the first, before n bitmasks exist.
         for subset in chain(map(frame.singleton, range(1, frame.n + 1)), [frame.full_set]):
             report = classify(operator, MassFunction(frame, {subset: 1.0}))
-            rows.append(
-                [operator, frame.subset_label(subset), report.residual,
-                 report.spectral_radius, report.classification, report.boundary]
-            )
+            rows.append([operator, frame.subset_label(subset), report.residual,
+                         report.spectral_radius, report.classification])
     _write_table(Path(args.out), columns, rows, args.format)
     print(f"wrote {args.out}")
     return 0

@@ -1,16 +1,15 @@
-"""Fixed points of the self-combination map and their numerical stability.
+"""Fixed points of the self-combination map and their stability.
 
 A mass function ``m`` is a fixed point of an operator when ``m (+) m = m``.
 Stability is judged from the Jacobian of the self-combination image with
 respect to the free coordinates (all subsets except the universal set, whose
-mass is the dependent coordinate ``1 - sum``), evaluated by central finite
-differences: a fixed point is stable when every eigenvalue lies strictly
-inside the unit circle.
+mass is the dependent coordinate ``1 - sum``): a fixed point is stable when
+every eigenvalue lies strictly inside the unit circle.
 
-The image map is polynomial (rational for Dempster's rule) in the subset
-coordinates, so the differencing evaluates it coordinate-wise; at simplex
-boundary points the perturbed evaluations use that polynomial extension and
-the report flags them.
+The image is quadratic in the subset coordinates for Dubois & Prade's and
+Yager's rules, rational (``C / (1 - K)``) for Dempster's and linear for
+averaging, so the Jacobian is exact: each column is the operators' own
+product loop applied to ``m`` and a coordinate direction.
 """
 
 from __future__ import annotations
@@ -28,10 +27,6 @@ from .mass import (
 
 EPS_FIX = 1e-10
 DELTA_STAB = 1e-3
-# Central-difference step: the truncation error grows as h^2 and the rounding
-# error as eps/h (about 1e-10); the result matches the exact Jacobian
-# (tests/oracle.jacobian_exact) within 2e-10 for n <= 6.
-STEP = 1e-6
 # Largest frame for the (2^n - 2)^2 Jacobian (128 MB at n = 12) and its eigvals.
 MAX_JACOBIAN_STATES = 12
 
@@ -49,7 +44,6 @@ class FixedPointReport:
     is_fixed: bool
     spectral_radius: float
     classification: str  # stable | unstable | marginal | not_fixed
-    boundary: bool  # differencing left the simplex (polynomial extension used)
 
 
 def self_combine_residual(operator: str, m: MassFunction) -> float:
@@ -69,13 +63,15 @@ def dp_polynomial_map(x: np.ndarray) -> np.ndarray:
     ``x`` holds the six free masses in the order {s1}, {s2}, {s3}, {s1,s2},
     {s1,s3}, {s2,s3}; the universal-set mass is the dependent coordinate
     ``x7 = 1 - sum(x)``.  Returns the images of the same six subsets.  This is
-    the hand-expanded counterpart of the generic operator, kept as an anchor
-    for the finite-difference machinery.
+    the hand-expanded counterpart of the generic operator, kept as a check on
+    its product loop, which the Jacobian also differentiates.  Non-finite
+    coordinates and points off the simplex are refused.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (6,):
         raise ValueError(f"expected 6 free coordinates, got shape {x.shape}")
-    if np.any(x < -_SIMPLEX_TOL) or float(x.sum()) > 1.0 + _SIMPLEX_TOL:
+    if (not np.all(np.isfinite(x)) or np.any(x < -_SIMPLEX_TOL)
+            or float(x.sum()) > 1.0 + _SIMPLEX_TOL):
         raise ValueError("point lies outside the mass simplex")
     x1, x2, x3, x4, x5, x6 = x
     x7 = 1.0 - float(x.sum())
@@ -91,14 +87,21 @@ def dp_polynomial_map(x: np.ndarray) -> np.ndarray:
     )
 
 
+def _dense(values: dict[int, float], full: int) -> np.ndarray:
+    """Values by subset as a vector indexed by bitmask (index 0 unused)."""
+    vec = np.zeros(full + 1)
+    vec[list(values)] = list(values.values())
+    return vec
+
+
 def _self_image(operator: str, coords: np.ndarray) -> np.ndarray:
     """Self-combination image over all subsets, as a function of raw coordinates.
 
     ``coords[a]`` is the mass on subset ``a`` (index 0 unused), so the
-    universal set is ``len(coords) - 1``.  The
-    operators' product loops are evaluated directly, with no renormalisation,
-    so coordinates outside the simplex are permitted; this is the polynomial
-    (rational, for Dempster) extension used by the finite-difference Jacobian.
+    universal set is ``len(coords) - 1``.  The operators' product loops are
+    evaluated directly, with no renormalisation, so coordinates outside the
+    simplex are permitted: this is the polynomial (rational, for Dempster)
+    map whose derivative ``numeric_jacobian`` takes.
     """
     if operator == "average":
         return coords.copy()
@@ -108,47 +111,28 @@ def _self_image(operator: str, coords: np.ndarray) -> np.ndarray:
         raw, k = _dubois_prade_products(focal, focal), 0.0
     else:
         raw, k = _conjunctive(focal, focal)
+    full = len(values) - 1
     if operator == "yager":
-        full = len(values) - 1
         raw[full] = raw.get(full, 0.0) + k
-    image = np.zeros(len(values))
-    image[list(raw)] = list(raw.values())
+    image = _dense(raw, full)
     if operator == "dempster":
-        # K(m, m) <= 1 - 1/(2^n - 1) on the simplex and a STEP perturbation
-        # moves K by about 4 * STEP, so 1 - k stays well away from 0.
+        # On the simplex K(m, m) <= 1 - 1/(2^n - 1), so 1 - k stays away from 0.
         image /= 1.0 - k
     return image
 
 
-def _free_coords(m: MassFunction) -> np.ndarray:
-    full = m.frame.full_set
-    coords = np.zeros(full + 1)
-    for subset, value in m.focal.items():
-        coords[subset] = value
-    return coords[1:full]
-
-
-def _image_of_free(operator: str, free: np.ndarray) -> np.ndarray:
-    coords = np.zeros(free.size + 2)
-    coords[1:-1] = free
-    coords[-1] = 1.0 - float(free.sum())
-    return _self_image(operator, coords)[1:-1]
-
-
-def perturbations_leave_simplex(m: MassFunction) -> bool:
-    """True when some +-STEP coordinate perturbation exits the mass simplex."""
-    free = _free_coords(m)
-    full_mass = 1.0 - float(free.sum())
-    return bool(np.any(free < STEP)) or full_mass < STEP
-
-
 def numeric_jacobian(operator: str, m: MassFunction) -> np.ndarray:
-    """Central-difference Jacobian of the self-combination map at ``m``.
+    """Exact Jacobian of the self-combination map at ``m``.
 
     Free coordinates are the subsets in ascending index order with the
-    universal set eliminated; a perturbation of coordinate ``j`` is absorbed
-    by the universal-set mass.  Size is ``(2^n - 2) x (2^n - 2)``, so ``n`` is
-    capped at ``MAX_JACOBIAN_STATES``.  An unknown operator name is refused.
+    universal set eliminated, so column ``j`` is the derivative along
+    ``d = e_j - e_frame``.  The raw products are a symmetric bilinear map
+    ``B``, so that derivative is ``2 B(m, d)``, summed by the operator's own
+    product loop.  Yager's conflict goes to the universal set, which has no
+    row; Dempster's rule adds the quotient rule for ``C / (1 - K)``; averaging
+    is the identity.  Size is ``(2^n - 2) x (2^n - 2)``, so ``n`` is capped at
+    ``MAX_JACOBIAN_STATES``.  An unknown operator name is refused.  The
+    result is analytic; the name ``numeric_jacobian`` is kept for its callers.
     """
     get_combiner(operator)
     n = m.frame.n
@@ -156,17 +140,24 @@ def numeric_jacobian(operator: str, m: MassFunction) -> np.ndarray:
         raise ValueError(
             f"fixed-point analysis supports at most {MAX_JACOBIAN_STATES} states, got n={n}"
         )
-    x0 = _free_coords(m)
-    d = x0.size
-    jac = np.empty((d, d))
-    for j in range(d):
-        plus = x0.copy()
-        plus[j] += STEP
-        minus = x0.copy()
-        minus[j] -= STEP
-        jac[:, j] = (
-            _image_of_free(operator, plus) - _image_of_free(operator, minus)
-        ) / (2.0 * STEP)
+    full = m.frame.full_set
+    if operator == "average":
+        return np.eye(full - 1)
+    focal = m.focal
+    if operator == "dempster":
+        image = _self_image(operator, _dense(focal, full))[1:full]
+        k = _conjunctive(focal, focal)[1]
+    jac = np.empty((full - 1, full - 1))
+    for j in range(1, full):
+        direction = {j: 1.0, full: -1.0}
+        if operator == "dubois_prade":
+            raw, dk = _dubois_prade_products(focal, direction), 0.0
+        else:
+            raw, dk = _conjunctive(focal, direction)
+        column = 2.0 * _dense(raw, full)[1:full]
+        if operator == "dempster":
+            column = (column + 2.0 * dk * image) / (1.0 - k)
+        jac[:, j - 1] = column
     return jac
 
 
@@ -195,5 +186,4 @@ def classify(operator: str, m: MassFunction) -> FixedPointReport:
         is_fixed=is_fixed,
         spectral_radius=rho,
         classification=classification,
-        boundary=perturbations_leave_simplex(m),
     )

@@ -5,10 +5,11 @@ loops over all (2^n - 1)^2 subset pairs, with no sparsity shortcuts and no
 reuse of the library's combination code, so it can serve as an independent
 oracle.  The spectral radius by repeated squaring, the windowed convergence
 check and the two-pass normalisation are second routes to what ``classify``,
-``run`` and ``renormalize`` compute their own way, and the analytic Jacobian
-is the reference for the finite-difference one.  The evidence step and the
-state selection without their shortcut for certain agents are the references
-the shortcut is replayed against.  The bit-position pignistic loop is the
+``run`` and ``renormalize`` compute their own way, and the dense-loop
+Jacobian is the reference for the one ``numeric_jacobian`` sums from the
+library's product loops.  The evidence step and the state selection without
+their shortcut for certain agents are the references the shortcut is
+replayed against.  The bit-position pignistic loop is the
 reference for ``pignistic``'s walk over set bits.
 """
 

@@ -195,12 +195,32 @@ def test_sweep_malformed_config_is_usage_error(tmp_path, capsys):
     assert "wat" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--states", "abc", "invalid literal for int()"),
+        ("--evidence-rate", "0.1,x", "could not convert string to float: 'x'"),
+        ("--noise", "0.1,,y", "could not convert string to float: 'y'"),
+    ],
+)
+def test_sweep_bad_list_override_names_its_flag(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "s.csv"
+    status = cli_main(["sweep", "--operator", "yager", flag, value, "--out", str(out)])
+    assert status == 2
+    assert f"error: bad value for {flag}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fixedpoints_report(tmp_path):
     out = tmp_path / "fp.csv"
     status = cli_main(["fixedpoints", "--states", "3", "--out", str(out)])
     assert status == 0
     with out.open() as fh:
-        rows = list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    assert reader.fieldnames == [
+        "operator", "subset", "residual", "spectral_radius", "classification"
+    ]
     assert len(rows) == 16  # 4 operators x (3 categoricals + vacuous)
     by_key = {(r["operator"], r["subset"]): r for r in rows}
     assert by_key[("dubois_prade", "{s3}")]["classification"] == "stable"

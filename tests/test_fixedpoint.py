@@ -21,11 +21,7 @@ from dstcons import (
     self_combine_residual,
     spectral_radius_eig,
 )
-from dstcons.fixedpoint import (
-    MAX_JACOBIAN_STATES,
-    _self_image,
-    perturbations_leave_simplex,
-)
+from dstcons.fixedpoint import MAX_JACOBIAN_STATES, _self_image
 from oracle import combine_dense, jacobian_exact, random_mass, spectral_radius_power
 
 F3 = FrameOfDiscernment(3)
@@ -37,7 +33,7 @@ GOLDEN_FIXEDPOINTS = Path(__file__).parent / "golden" / "fixedpoints.csv"
 GOLDEN_FIXEDPOINT_STATES = (2, 3, 5, 8)
 GOLDEN_FIXEDPOINT_COLUMNS = (
     "n", "operator", "subset", "residual", "spectral_radius", "classification",
-    "boundary", "jacobian_sha256",
+    "jacobian_sha256",
 )
 
 # dp_polynomial_map coordinate order: {s1},{s2},{s3},{s1,s2},{s1,s3},{s2,s3};
@@ -56,17 +52,14 @@ def fixed_point_golden_rows():
     rows = []
     for n in GOLDEN_FIXEDPOINT_STATES:
         frame = FrameOfDiscernment(n)
-        candidates = [
-            MassFunction(frame, {frame.singleton(i): 1.0}) for i in range(1, n + 1)
-        ] + [make_vacuous(frame)]
         for op in sorted(COMBINERS):
-            for m in candidates:
+            for m in cli_candidates(frame):
                 report = classify(op, m)
                 jac = numeric_jacobian(op, m)
                 rows.append([
                     str(n), op, frame.subset_label(next(iter(m.focal))),
                     repr(report.residual), repr(report.spectral_radius),
-                    report.classification, str(report.boundary),
+                    report.classification,
                     hashlib.sha256(jac.tobytes()).hexdigest(),
                 ])
     return rows
@@ -78,6 +71,13 @@ def write_fixed_point_golden(path=GOLDEN_FIXEDPOINTS):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(GOLDEN_FIXEDPOINT_COLUMNS)
         writer.writerows(fixed_point_golden_rows())
+
+
+def cli_candidates(frame):
+    """The points ``fixedpoints`` reports on: the singletons, then the vacuous mass."""
+    return [
+        MassFunction(frame, {frame.singleton(i): 1.0}) for i in range(1, frame.n + 1)
+    ] + [make_vacuous(frame)]
 
 
 def _mass_from_dp_coords(x):
@@ -131,6 +131,8 @@ class TestPolynomialMap:
             dp_polynomial_map(np.array([-0.2, 0.3, 0.3, 0.2, 0.2, 0.2]))
         with pytest.raises(ValueError):
             dp_polynomial_map(np.full(6, 0.3))
+        with pytest.raises(ValueError, match="outside the mass simplex"):
+            dp_polynomial_map(np.full(6, np.nan))
         with pytest.raises(ValueError):
             dp_polynomial_map(np.zeros(5))
 
@@ -196,18 +198,28 @@ class TestJacobian:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_matches_exact_jacobian(self, op, n):
         # Every CLI candidate plus three interior points, where Dempster's
-        # rational image makes the truncation term live.
+        # conflict is nonzero and its quotient rule contributes.
         frame = FrameOfDiscernment(n)
         rng = np.random.default_rng(n)
-        points = [
-            *(MassFunction(frame, {frame.singleton(i): 1.0}) for i in range(1, n + 1)),
-            make_vacuous(frame),
-            *(random_mass(rng, frame) for _ in range(3)),
-        ]
+        points = [*cli_candidates(frame), *(random_mass(rng, frame) for _ in range(3))]
         for m in points:
             np.testing.assert_allclose(
-                numeric_jacobian(op, m), jacobian_exact(op, m), rtol=0.0, atol=1e-8
+                numeric_jacobian(op, m), jacobian_exact(op, m), rtol=0.0, atol=1e-12
             )
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_candidate_radii_are_exact(self, n):
+        # Certainty is superstable under the three rules, the vacuous mass
+        # doubles a perturbation, and averaging is the identity.
+        frame = FrameOfDiscernment(n)
+        vacuous = make_vacuous(frame)
+        for op in sorted(COMBINERS):
+            for m in cli_candidates(frame):
+                if op == "average":
+                    expected = 1.0
+                else:
+                    expected = 2.0 if m == vacuous else 0.0
+                assert classify(op, m).spectral_radius == expected, (op, m)
 
     @pytest.mark.parametrize("op", ["bogus", "Dempster", None])
     def test_rejects_unknown_operator(self, op):
@@ -257,7 +269,6 @@ class TestClassify:
         report = classify("dubois_prade", m)
         assert report.is_fixed
         assert report.classification == "stable"
-        assert report.boundary  # differencing at a vertex leaves the simplex
 
     def test_dubois_prade_vacuous_unstable(self):
         report = classify("dubois_prade", make_vacuous(F3))
@@ -283,12 +294,6 @@ class TestClassify:
         report = classify("dempster", MassFunction(F3, {2: 1.0}))
         assert report.is_fixed
         assert report.classification in ("stable", "unstable", "marginal")
-
-    def test_interior_point_not_flagged_as_boundary(self):
-        m = MassFunction(F3, {a: 1 / 7 for a in range(1, 7)} | {7: 1 - 6 / 7})
-        assert not perturbations_leave_simplex(m)
-        report = classify("yager", m)
-        assert not report.boundary
 
 
 class TestGoldenFixedPoints:
