@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from itertools import chain
 from pathlib import Path
 
-from .fixedpoint import classify
+from .fixedpoint import MAX_JACOBIAN_STATES, classify
 from .harness import (
     ALL_OPERATORS,
     CONFIG_KEYS,
@@ -73,7 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fixed = sub.add_parser("fixedpoints",
                              help="residual/stability report for candidate fixed points")
     p_fixed.add_argument("--operator", choices=(*ALL_OPERATORS, "all"), default="all")
-    p_fixed.add_argument("--states", type=int, default=3)
+    p_fixed.add_argument("--states", type=int, default=3, metavar="N", help="number of states n",
+                         choices=range(2, MAX_JACOBIAN_STATES + 1))
     p_fixed.add_argument("--out", default="fixedpoints.csv")
     p_fixed.add_argument("--format", choices=FORMATS, default="csv")
     p_fixed.set_defaults(func=_cmd_fixedpoints)
@@ -151,11 +151,10 @@ def _cmd_fixedpoints(args: argparse.Namespace) -> int:
     operators = ALL_OPERATORS if args.operator == "all" else (args.operator,)
     frame = FrameOfDiscernment(args.states)
     columns = ["operator", "subset", "residual", "spectral_radius", "classification"]
+    candidates = [*map(frame.singleton, range(1, frame.n + 1)), frame.full_set]
     rows = []
     for operator in operators:
-        # Candidates (singletons, then vacuous) are made one at a time, so a
-        # frame above the Jacobian's limit fails on the first, before n bitmasks exist.
-        for subset in chain(map(frame.singleton, range(1, frame.n + 1)), [frame.full_set]):
+        for subset in candidates:
             report = classify(operator, MassFunction(frame, {subset: 1.0}))
             rows.append([operator, frame.subset_label(subset), report.residual,
                          report.spectral_radius, report.classification])

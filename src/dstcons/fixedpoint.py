@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mass import (
+    EPS_NORM,
     MassFunction,
     _conjunctive,
     _dubois_prade_products,
@@ -29,9 +30,6 @@ EPS_FIX = 1e-10
 DELTA_STAB = 1e-3
 # Largest frame for the (2^n - 2)^2 Jacobian (128 MB at n = 12) and its eigvals.
 MAX_JACOBIAN_STATES = 12
-
-# Simplex-membership slack when validating polynomial-map inputs.
-_SIMPLEX_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -65,13 +63,14 @@ def dp_polynomial_map(x: np.ndarray) -> np.ndarray:
     ``x7 = 1 - sum(x)``.  Returns the images of the same six subsets.  This is
     the hand-expanded counterpart of the generic operator, kept as a check on
     its product loop, which the Jacobian also differentiates.  Non-finite
-    coordinates and points off the simplex are refused.
+    coordinates and points off the simplex (by more than ``EPS_NORM``) are
+    refused.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (6,):
         raise ValueError(f"expected 6 free coordinates, got shape {x.shape}")
-    if (not np.all(np.isfinite(x)) or np.any(x < -_SIMPLEX_TOL)
-            or float(x.sum()) > 1.0 + _SIMPLEX_TOL):
+    if (not np.all(np.isfinite(x)) or np.any(x < -EPS_NORM)
+            or float(x.sum()) > 1.0 + EPS_NORM):
         raise ValueError("point lies outside the mass simplex")
     x1, x2, x3, x4, x5, x6 = x
     x7 = 1.0 - float(x.sum())
@@ -94,31 +93,16 @@ def _dense(values: dict[int, float], full: int) -> np.ndarray:
     return vec
 
 
-def _self_image(operator: str, coords: np.ndarray) -> np.ndarray:
-    """Self-combination image over all subsets, as a function of raw coordinates.
+def _self_image(focal: dict[int, float], full: int) -> tuple[np.ndarray, float]:
+    """Dempster's self-combination image ``C / (1 - K)`` and the conflict ``K``.
 
-    ``coords[a]`` is the mass on subset ``a`` (index 0 unused), so the
-    universal set is ``len(coords) - 1``.  The operators' product loops are
-    evaluated directly, with no renormalisation, so coordinates outside the
-    simplex are permitted: this is the polynomial (rational, for Dempster)
-    map whose derivative ``numeric_jacobian`` takes.
+    The image is indexed by bitmask (index 0 unused; ``full`` is the universal
+    set).  ``C`` and ``K`` come from one product sum over ``focal``, with no
+    renormalisation, so masses off the simplex are permitted.
     """
-    if operator == "average":
-        return coords.copy()
-    values = coords.tolist()
-    focal = {a: values[a] for a in range(1, len(values)) if values[a] != 0.0}
-    if operator == "dubois_prade":
-        raw, k = _dubois_prade_products(focal, focal), 0.0
-    else:
-        raw, k = _conjunctive(focal, focal)
-    full = len(values) - 1
-    if operator == "yager":
-        raw[full] = raw.get(full, 0.0) + k
-    image = _dense(raw, full)
-    if operator == "dempster":
-        # On the simplex K(m, m) <= 1 - 1/(2^n - 1), so 1 - k stays away from 0.
-        image /= 1.0 - k
-    return image
+    raw, k = _conjunctive(focal, focal)
+    # On the simplex K(m, m) <= 1 - 1/(2^n - 1), so 1 - k stays away from 0.
+    return _dense(raw, full) / (1.0 - k), k
 
 
 def numeric_jacobian(operator: str, m: MassFunction) -> np.ndarray:
@@ -145,8 +129,7 @@ def numeric_jacobian(operator: str, m: MassFunction) -> np.ndarray:
         return np.eye(full - 1)
     focal = m.focal
     if operator == "dempster":
-        image = _self_image(operator, _dense(focal, full))[1:full]
-        k = _conjunctive(focal, focal)[1]
+        image, k = _self_image(focal, full)
     jac = np.empty((full - 1, full - 1))
     for j in range(1, full):
         direction = {j: 1.0, full: -1.0}
@@ -156,7 +139,7 @@ def numeric_jacobian(operator: str, m: MassFunction) -> np.ndarray:
             raw, dk = _conjunctive(focal, direction)
         column = 2.0 * _dense(raw, full)[1:full]
         if operator == "dempster":
-            column = (column + 2.0 * dk * image) / (1.0 - k)
+            column = (column + 2.0 * dk * image[1:full]) / (1.0 - k)
         jac[:, j - 1] = column
     return jac
 

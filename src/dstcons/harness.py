@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .mass import COMBINERS, check_count
+from .mass import COMBINERS, check_count, get_combiner
 from .simulation import RunResult, SimConfig, population_mean_bel, population_means, run
 
 WORKERS_ENV_VAR = "DSTCONS_WORKERS"
@@ -187,8 +187,10 @@ def derive_seed(
 
     The hash is numpy's SeedSequence entropy mix over the 7-tuple
     (root_seed, operator id, n, r index, sigma index, consensus flag,
-    run index); operator ids are pinned in ``OPERATOR_IDS``.
+    run index); operator ids are pinned in ``OPERATOR_IDS``.  An unknown
+    operator name is refused.
     """
+    get_combiner(operator)
     entropy = [
         root_seed,
         OPERATOR_IDS[operator],
@@ -639,7 +641,7 @@ def reproduce(
     _check_format(fmt)
     out_dir = Path(out_dir)
     suffix = "." + fmt
-    keep = figure == "fig1"
+    keep = spec.trajectory_stride > 0
     sweep = run_sweep(spec, workers=workers, keep_results=keep)
     written = emit_csv(
         sweep.summaries, out_dir / f"{figure}{suffix}", sweep.records, fmt=fmt

@@ -235,6 +235,12 @@ def test_criterion_04_trajectory_cell_reproduction():
         ("YR mean >= 0.95", yr.mean_bel_best >= 0.95, f"{yr.mean_bel_best:.4f}"),
         ("DR mean >= 0.80", dr.mean_bel_best >= 0.80, f"{dr.mean_bel_best:.4f}"),
         (
+            # This ordering rests on Dempster's total-conflict threshold,
+            # K >= 1 - EPS_NORM in mass.combine_dempster: pairs within EPS_NORM
+            # of total conflict are skipped and leave stuck minority agents.
+            # With the threshold at 1 - 1e-15, root seeds 0-3 give 29/24/24/27
+            # unanimous-best Dempster runs instead of 26/21/19/26; at seed 0
+            # that is 29 against D&P's 29, and this line would fail.
             "DR unanimous-best runs < D&P",
             dr_unanimous < dp_unanimous,
             f"{dr_unanimous}/{RUNS_PER_CELL} vs {dp_unanimous}/{RUNS_PER_CELL}",

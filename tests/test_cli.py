@@ -244,11 +244,19 @@ def test_fixedpoints_single_operator(tmp_path):
 @pytest.mark.parametrize(
     "flags, message",
     [
-        (["--states", "13"], "at most 12 states"),
+        pytest.param(["--states", "13"], "argument --states: invalid choice: 13",
+                     id="flags0-at most 12 states"),
         (["--step", "1e-6"], "unrecognized arguments: --step"),
+        (["--states", "1"], "argument --states: invalid choice: 1"),
+        (["--states", "400000000"], "argument --states: invalid choice: 400000000"),
     ],
 )
-def test_fixedpoints_rejects_unbounded_inputs(tmp_path, capsys, flags, message):
+def test_fixedpoints_rejects_unbounded_inputs(tmp_path, capsys, monkeypatch, flags, message):
+    # The parser refuses these before any 2^n-sized frame is built.
+    def no_frame(n):
+        raise AssertionError(f"built a frame for n={n}")
+
+    monkeypatch.setattr("dstcons.cli.FrameOfDiscernment", no_frame)
     out = tmp_path / "fp.csv"
     status = cli_main(["fixedpoints", *flags, "--out", str(out)])
     assert status == 2

@@ -14,6 +14,7 @@ from dstcons import (
     TotalConflictError,
     classify,
     combine_dubois_prade,
+    conflict,
     dp_polynomial_map,
     get_combiner,
     make_vacuous,
@@ -21,7 +22,8 @@ from dstcons import (
     self_combine_residual,
     spectral_radius_eig,
 )
-from dstcons.fixedpoint import MAX_JACOBIAN_STATES, _self_image
+from dstcons.fixedpoint import MAX_JACOBIAN_STATES, _dense, _self_image
+from dstcons.mass import _conjunctive, _dubois_prade_products
 from oracle import combine_dense, jacobian_exact, random_mass, spectral_radius_power
 
 F3 = FrameOfDiscernment(3)
@@ -137,22 +139,31 @@ class TestPolynomialMap:
             dp_polynomial_map(np.zeros(5))
 
 
+def _off_simplex_image(op, focal, full):
+    """The self-combination map that ``numeric_jacobian`` differentiates, by bitmask."""
+    if op == "dempster":
+        return _self_image(focal, full)[0]
+    if op == "dubois_prade":
+        return _dense(_dubois_prade_products(focal, focal), full)
+    raw, k = _conjunctive(focal, focal)
+    raw[full] = raw.get(full, 0.0) + k
+    return _dense(raw, full)
+
+
 class TestImageExtension:
-    @pytest.mark.parametrize("op", ["dempster", "dubois_prade", "yager", "average"])
+    @pytest.mark.parametrize("op", ["dempster"])
     def test_matches_generic_self_combination_inside_simplex(self, op):
         rng = np.random.default_rng(3)
         combine = get_combiner(op)
         for _ in range(50):
             m = _random_simplex_mass(rng, F3)
-            coords = np.zeros(8)
-            for a, v in m.focal.items():
-                coords[a] = v
-            image = _self_image(op, coords)
+            image, k = _self_image(m.focal, F3.full_set)
+            assert k == conflict(m, m)
             expected = combine(m, m)
             for a in range(1, 8):
                 assert image[a] == pytest.approx(expected.focal.get(a, 0.0), abs=1e-12)
 
-    @pytest.mark.parametrize("op", ["dempster", "dubois_prade", "yager", "average"])
+    @pytest.mark.parametrize("op", ["dempster", "dubois_prade", "yager"])
     def test_matches_dense_oracle_off_simplex(self, op):
         # The oracle shares no code with the library, and the draws have
         # negative entries and totals away from 1, so this pins the polynomial
@@ -170,7 +181,10 @@ class TestImageExtension:
                 except TotalConflictError:
                     skipped += 1
                     continue
-                np.testing.assert_array_equal(_self_image(op, coords), expected)
+                focal = {a: float(v) for a, v in enumerate(coords) if v != 0.0}
+                np.testing.assert_array_equal(
+                    _off_simplex_image(op, focal, coords.size - 1), expected
+                )
                 checked += 1
         assert checked >= 3 * skipped
 

@@ -127,6 +127,11 @@ class TestSeedDerivation:
         assert set(OPERATOR_IDS) == set(COMBINERS)
         assert ALL_OPERATORS == tuple(sorted(OPERATOR_IDS))
 
+    @pytest.mark.parametrize("operator", ["bogus", "Dempster", None, ["yager"]])
+    def test_unknown_operator_is_refused(self, operator):
+        with pytest.raises(ValueError, match="unknown operator"):
+            derive_seed(0, operator, 3, 0, 0, True, 0)
+
     def test_every_index_matters(self):
         base = derive_seed(1, "yager", 3, 0, 0, True, 0)
         assert derive_seed(2, "yager", 3, 0, 0, True, 0) != base
@@ -283,6 +288,19 @@ class TestEmission:
         with pytest.raises(ConfigError, match="'xml'"):
             reproduce("fig1", tmp_path / "out", runs=1, fmt="xml")
         assert not (tmp_path / "out").exists()
+
+    def test_reproduce_writes_trajectory_for_any_preset_with_a_stride(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setitem(harness.FIGURE_PRESETS, "strided", (
+            "a one-operator preset with a trajectory stride",
+            dict(operators=("yager",), r_values=(0.05,), sigma_values=(0.1,),
+                 trajectory_stride=10),
+        ))
+        written = reproduce("strided", tmp_path, runs=1, max_iterations=60)
+        assert tmp_path / "strided_trajectory.csv" in written
+        with (tmp_path / "strided_trajectory.csv").open() as fh:
+            assert {row["operator"] for row in csv.DictReader(fh)} == {"yager"}
 
     def test_aggregates_recomputable_from_run_file(self, tmp_path):
         sweep = run_sweep(SMALL_SPEC)
