@@ -16,7 +16,7 @@ import os
 from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
@@ -483,18 +483,17 @@ def mean_trajectory(results: Sequence[RunResult]) -> tuple[np.ndarray, np.ndarra
     """Average sampled trajectories over runs on a common iteration grid.
 
     The grid steps from 0 to the runs' iteration cap by their trajectory
-    stride, which all runs must share, with their frame size.  Converged runs
-    hold their steady state, so samples past a run's final iteration reuse its
-    last recorded value.
+    stride.  The runs must be repeats of one cell: their configs may differ
+    only in the seed.  Converged runs hold their steady state, so samples past
+    a run's final iteration reuse its last recorded value.
     """
-    grids = {(res.config.trajectory_stride, res.config.max_iterations, res.config.n)
-             for res in results}
-    if len(grids) != 1 or not min(grids)[0]:
-        raise ValueError("runs must share one nonzero trajectory_stride, one max_iterations"
-                         f" and one n; got (stride, cap, n) = {sorted(grids)}")
-    (stride, max_iterations, n), = grids
-    grid = np.arange(0, max_iterations + 1, stride)
-    bel_sum = np.zeros((grid.size, n))
+    configs = {replace(res.config, seed=0) for res in results}
+    if len(configs) != 1 or not all(c.trajectory_stride for c in configs):
+        raise ValueError("runs must share one config apart from the seed, with a nonzero"
+                         f" trajectory_stride; got {len(configs)} distinct configs")
+    config, = configs
+    grid = np.arange(0, config.max_iterations + 1, config.trajectory_stride)
+    bel_sum = np.zeros((grid.size, config.n))
     pl_sum = np.zeros(grid.size)
     for res in results:
         iters = res.trajectory_iterations
@@ -643,14 +642,16 @@ def reproduce(
     suffix = "." + fmt
     keep = spec.trajectory_stride > 0
     sweep = run_sweep(spec, workers=workers, keep_results=keep)
+    # One series per operator; mean_trajectory refuses an operator's runs from
+    # more than one cell before any file is written.
+    by_operator: dict[str, list[RunResult]] = {}
+    for _, _, result in sweep.results or ():
+        by_operator.setdefault(result.config.operator, []).append(result)
+    trajectories = [(op, *mean_trajectory(runs)) for op, runs in sorted(by_operator.items())]
     written = emit_csv(
         sweep.summaries, out_dir / f"{figure}{suffix}", sweep.records, fmt=fmt
     )
     if keep:
-        by_operator: dict[str, list[RunResult]] = {}
-        for _, _, result in sweep.results:
-            by_operator.setdefault(result.config.operator, []).append(result)
-        trajectories = [(op, *mean_trajectory(runs)) for op, runs in sorted(by_operator.items())]
         written.append(
             emit_trajectory(trajectories, out_dir / f"{figure}_trajectory{suffix}", fmt)
         )

@@ -21,6 +21,10 @@ import numpy as np
 EPS_NORM = 1e-9
 # Masses below this are treated as rounding dust by renormalize().
 EPS_PRUNE = 1e-12
+# Dempster's rule is undefined at K = 1, so K >= 1 - EPS_CONFLICT counts as
+# total conflict and the pair is skipped.  AC4's Dempster ordering rests on
+# this value (see the comment in tests/test_acceptance.py).
+EPS_CONFLICT = 1e-9
 
 
 class TotalConflictError(Exception):
@@ -178,12 +182,12 @@ def conflict(m1: MassFunction, m2: MassFunction) -> float:
 def combine_dempster(m1: MassFunction, m2: MassFunction) -> MassFunction:
     """Dempster's rule: intersection products rescaled by 1/(1 - K).
 
-    Raises :class:`TotalConflictError` when K = 1 (within ``EPS_NORM``); the
+    Raises :class:`TotalConflictError` when K = 1 (within ``EPS_CONFLICT``); the
     consensus protocol treats that case as a skipped interaction.
     """
     _check_same_frame(m1, m2)
     raw, k = _conjunctive(m1.focal, m2.focal)
-    if k >= 1.0 - EPS_NORM:
+    if k >= 1.0 - EPS_CONFLICT:
         raise TotalConflictError(f"total conflict between operands (K={k!r})")
     return _from_products(m1.frame, raw)
 
@@ -253,7 +257,7 @@ def renormalize(m: MassFunction) -> MassFunction:
     return MassFunction._trusted(m.frame, {a: v / total for a, v in kept.items()})
 
 
-def approx_eq(m1: MassFunction, m2: MassFunction, eps: float = EPS_NORM) -> bool:
+def approx_eq(m1: MassFunction, m2: MassFunction, eps: float) -> bool:
     """Componentwise comparison; subsets absent from one side read as 0."""
     _check_same_frame(m1, m2)
     for subset in m1.focal.keys() | m2.focal.keys():
@@ -350,7 +354,7 @@ def _dubois_prade_arrays(f1: Mapping, f2: Mapping) -> dict[int, float]:
 
 def _from_products(frame: FrameOfDiscernment, raw: dict[int, float]) -> MassFunction:
     # Defensive rescale against rounding drift; exact zeros (underflow) dropped.
-    # Products of two checked masses are finite and total 1 (1 - K > EPS_NORM
-    # for Dempster), so the result needs no further check.
+    # Products of two checked masses are finite and total 1 (for Dempster,
+    # 1 - K > EPS_CONFLICT), so the result needs no further check.
     total = fsum(raw.values())
     return MassFunction._trusted(frame, {a: v / total for a, v in raw.items() if v > 0.0})

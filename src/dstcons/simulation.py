@@ -94,12 +94,6 @@ def _fuse(combine, m1: MassFunction, m2: MassFunction) -> MassFunction | None:
         return None
 
 
-def _check_population(agents: list[MassFunction], config: SimConfig) -> None:
-    # The gates and pair indices are drawn for config.k agents.
-    if len(agents) != config.k:
-        raise ValueError(f"population holds {len(agents)} agents but config.k = {config.k}")
-
-
 def evidence_step(
     agents: list[MassFunction],
     qualities: np.ndarray,
@@ -116,11 +110,10 @@ def evidence_step(
     certain of ``s_i`` keeps its object under evidence for ``s_i`` when the
     operator is in ``CERTAINTY_PRESERVING``: the update could not move it.
     """
-    _check_population(agents, config)
     combine = get_combiner(config.operator)
     preserving = config.operator in CERTAINTY_PRESERVING
     skips = 0
-    gates = rng.random(config.k)
+    gates = rng.random(len(agents))
     quality = qualities.tolist()
     for idx in (gates < config.r).nonzero()[0].tolist():
         m = agents[idx]
@@ -147,9 +140,11 @@ def consensus_step(
     Under Dempster's rule a fully conflicting pair (K = 1) does not form
     consensus: the pair is left unchanged and the skip is counted.
     """
-    _check_population(agents, config)
-    i = int(rng.integers(config.k))
-    j = int(rng.integers(config.k - 1))
+    k = len(agents)
+    if k < 2:
+        raise ValueError(f"consensus needs at least 2 agents, got {k}")
+    i = int(rng.integers(k))
+    j = int(rng.integers(k - 1))
     if j >= i:
         j += 1
     fused = _fuse(get_combiner(config.operator), agents[i], agents[j])
@@ -192,7 +187,6 @@ def run(config: SimConfig) -> RunResult:
     prev = agents.copy()
     stable = 0
     convergence_iteration: int | None = None
-    t = 0
     for t in range(1, config.max_iterations + 1):
         skips += evidence_step(agents, qualities, config, rng)
         if config.consensus_enabled:
@@ -204,14 +198,12 @@ def run(config: SimConfig) -> RunResult:
         stable = stable + 1 if unchanged else 0
         prev = agents.copy()
 
-        if stride and t % stride == 0:
+        closed = stable >= config.convergence_window
+        if stride and (t % stride == 0 or closed or t == config.max_iterations):
             samples.append((t, *population_means(agents)))
-        if stable >= config.convergence_window:
+        if closed:
             convergence_iteration = t
             break
-
-    if stride and samples[-1][0] != t:
-        samples.append((t, *population_means(agents)))
 
     iterations, bels, pl_best = zip(*samples) if samples else ((), (), ())
     return RunResult(

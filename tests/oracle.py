@@ -21,6 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from dstcons import (
+    EPS_CONFLICT,
     EPS_CONV,
     EPS_PRUNE,
     FrameOfDiscernment,
@@ -67,7 +68,7 @@ def combine_dense(op: str, v1: np.ndarray, v2: np.ndarray, n: int) -> np.ndarray
     if op == "average":
         out = (v1 + v2) / 2.0
     elif op == "dempster":
-        if conflict >= 1.0 - 1e-9:
+        if conflict >= 1.0 - EPS_CONFLICT:
             raise TotalConflictError("oracle: total conflict")
         out /= 1.0 - conflict
     elif op == "yager":
@@ -240,7 +241,7 @@ def evidence_step_reference(
     """``evidence_step`` that combines every gated update, certain agents too."""
     combine = get_combiner(config.operator)
     skips = 0
-    gates = rng.random(config.k)
+    gates = rng.random(len(agents))
     for idx in np.flatnonzero(gates < config.r):
         m = agents[idx]
         i = select_state_reference(m, rng)

@@ -236,8 +236,9 @@ def test_criterion_04_trajectory_cell_reproduction():
         ("DR mean >= 0.80", dr.mean_bel_best >= 0.80, f"{dr.mean_bel_best:.4f}"),
         (
             # This ordering rests on Dempster's total-conflict threshold,
-            # K >= 1 - EPS_NORM in mass.combine_dempster: pairs within EPS_NORM
-            # of total conflict are skipped and leave stuck minority agents.
+            # K >= 1 - EPS_CONFLICT in mass.combine_dempster: pairs within
+            # EPS_CONFLICT of total conflict are skipped and leave stuck
+            # minority agents (tests/tolerance_margins.py varies it).
             # With the threshold at 1 - 1e-15, root seeds 0-3 give 29/24/24/27
             # unanimous-best Dempster runs instead of 26/21/19/26; at seed 0
             # that is 29 against D&P's 29, and this line would fail.

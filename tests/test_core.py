@@ -181,6 +181,18 @@ class TestDempster:
         with pytest.raises(TotalConflictError):
             combine_dempster(CAT_S1, CAT_S2)
 
+    def test_total_conflict_threshold_is_eps_conflict(self, monkeypatch):
+        # K = 1 - 5e-10 is total conflict within 1e-9, but not within 1e-15.
+        dust = MassFunction(F3, {2: 1 - 5e-10, 4: 5e-10})
+        with pytest.raises(TotalConflictError):
+            combine_dempster(dust, CAT_S3)
+        monkeypatch.setattr(mass, "EPS_CONFLICT", 1e-15)
+        assert combine_dempster(dust, CAT_S3).focal == {4: 1.0}
+        # The sum-to-one check keeps EPS_NORM.
+        MassFunction(F3, {4: 1 - 5e-10})
+        with pytest.raises(ValueError, match="must total 1"):
+            MassFunction(F3, {4: 1 - 2e-9})
+
 
 class TestDuboisPrade:
     def test_partial_conflict(self):

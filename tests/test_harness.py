@@ -302,6 +302,18 @@ class TestEmission:
         with (tmp_path / "strided_trajectory.csv").open() as fh:
             assert {row["operator"] for row in csv.DictReader(fh)} == {"yager"}
 
+    def test_reproduce_refuses_a_preset_that_mixes_cells(self, tmp_path, monkeypatch):
+        # Two r values and the baselines give each operator four cells: one
+        # trajectory series would average them.
+        monkeypatch.setitem(harness.FIGURE_PRESETS, "mixed", (
+            "a one-operator preset with several cells and a trajectory stride",
+            dict(operators=("yager",), r_values=(0.05, 0.5), sigma_values=(0.1,),
+                 trajectory_stride=10, baselines=True),
+        ))
+        with pytest.raises(ValueError, match="runs must share"):
+            reproduce("mixed", tmp_path, runs=1, max_iterations=30)
+        assert list(tmp_path.iterdir()) == []
+
     def test_aggregates_recomputable_from_run_file(self, tmp_path):
         sweep = run_sweep(SMALL_SPEC)
         summary_path, runs_path = emit_csv(
@@ -458,6 +470,10 @@ class TestMeanTrajectory:
         {"trajectory_stride": 7},
         {"max_iterations": 30},
         {"n": 4},
+        {"r": 0.2},
+        {"sigma": 0.1},
+        {"consensus_enabled": False},
+        {"k": 4},
     ])
     def test_runs_on_different_grids_are_refused(self, other):
         with pytest.raises(ValueError, match="runs must share"):

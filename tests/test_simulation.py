@@ -271,22 +271,23 @@ class TestConsensusStep:
 
 
 class TestPopulationSize:
-    """The steps draw gates and pair indices for ``config.k`` agents."""
+    """The steps draw gates and pair indices for the list they are given."""
 
-    STEPS = {
-        "evidence": lambda agents, config, rng: evidence_step(
-            agents, default_qualities(3), config, rng
-        ),
-        "consensus": consensus_step,
-    }
-
-    @pytest.mark.parametrize("step", sorted(STEPS))
     @pytest.mark.parametrize("size", [3, 8])
-    def test_population_must_match_k(self, step, size):
+    def test_evidence_step_updates_every_agent_of_the_list(self, size):
+        # config.k = 5 does not size the draws: at r = 1 every agent is updated.
         config = SimConfig(operator="yager", k=5, n=3, r=1.0)
-        agents = [make_vacuous(F3)] * size
-        with pytest.raises(ValueError, match=rf"\b{size} agents\b.*\bk = 5\b"):
-            self.STEPS[step](agents, config, np.random.default_rng(0))
+        start = [make_vacuous(F3)] * size
+        agents = start.copy()
+        evidence_step(agents, default_qualities(3), config, np.random.default_rng(0))
+        assert len(agents) == size
+        assert all(new is not old for new, old in zip(agents, start))
+
+    def test_consensus_step_needs_two_agents(self):
+        config = SimConfig(operator="yager", k=5, n=3)
+        agents = [make_vacuous(F3)]
+        with pytest.raises(ValueError, match="consensus needs at least 2 agents, got 1"):
+            consensus_step(agents, config, np.random.default_rng(0))
 
 
 class TestCheckConvergence:
