@@ -88,8 +88,7 @@ class SweepSpec:
                 if not isinstance(value := getattr(self, name), bool):
                     raise ValueError(f"{name} must be a bool, got {value!r}")
             # SimConfig checks every run parameter before the repeat check hashes them.
-            for cell in _grid(self):
-                _config(self, cell, self.root_seed)
+            build_cells(self)
             for name in grid_fields:
                 if len(set(values := getattr(self, name))) != len(values):
                     raise ValueError(f"{name} has repeated values: {values}")
@@ -102,19 +101,6 @@ class SweepSpec:
         if self.baselines:
             return (True, False)
         return (True,)
-
-
-@dataclass(frozen=True)
-class Cell:
-    """One grid point; index fields feed seed derivation."""
-
-    operator: str
-    n: int
-    r: float
-    sigma: float
-    consensus: bool
-    r_index: int
-    sigma_index: int
 
 
 @dataclass(frozen=True)
@@ -171,7 +157,8 @@ class SweepResult:
     spec: SweepSpec
     summaries: list[CellSummary]
     records: list[RunRecord]
-    results: list[tuple[Cell, int, RunResult]] | None = None
+    # (cell, run index, result); the cell is the run's config at the root seed.
+    results: list[tuple[SimConfig, int, RunResult]] | None = None
 
 
 def derive_seed(
@@ -188,9 +175,16 @@ def derive_seed(
     The hash is numpy's SeedSequence entropy mix over the 7-tuple
     (root_seed, operator id, n, r index, sigma index, consensus flag,
     run index); operator ids are pinned in ``OPERATOR_IDS``.  An unknown
-    operator name is refused.
+    operator, a non-bool consensus flag, n < 2 or a negative seed or index is
+    refused.
     """
     get_combiner(operator)
+    if not isinstance(consensus, bool):
+        raise ValueError(f"consensus must be a bool, got {consensus!r}")
+    check_count("n", n, 2)
+    for name, value in (("root_seed", root_seed), ("r_index", r_index),
+                        ("sigma_index", sigma_index), ("run_index", run_index)):
+        check_count(name, value, 0)
     entropy = [
         root_seed,
         OPERATOR_IDS[operator],
@@ -203,48 +197,31 @@ def derive_seed(
     return int(np.random.SeedSequence(entropy).generate_state(1, dtype=np.uint64)[0])
 
 
-def _grid(spec: SweepSpec) -> list[Cell]:
-    return [
-        Cell(op, n, r, sigma, consensus, r_index, sigma_index)
+def build_cells(spec: SweepSpec) -> list[SimConfig]:
+    """Every grid point as a run config at the root seed.
+
+    The configs are built in grid order, so a bad value is refused before the
+    sort compares it, then sorted by (operator, n, r, sigma, consensus).
+    """
+    cells = [
+        SimConfig(operator=op, k=spec.k, n=n, r=r, sigma=sigma,
+                  max_iterations=spec.max_iterations, consensus_enabled=consensus,
+                  seed=spec.root_seed, trajectory_stride=spec.trajectory_stride,
+                  convergence_window=spec.convergence_window)
         for op in spec.operators
         for n in spec.n_values
-        for r_index, r in enumerate(spec.r_values)
-        for sigma_index, sigma in enumerate(spec.sigma_values)
+        for r in spec.r_values
+        for sigma in spec.sigma_values
         for consensus in spec.consensus_modes()
     ]
+    return sorted(cells, key=attrgetter("operator", "n", "r", "sigma", "consensus_enabled"))
 
 
-def build_cells(spec: SweepSpec) -> list[Cell]:
-    """All grid points, sorted by (operator, n, r, sigma, consensus)."""
-    return sorted(_grid(spec), key=CELL_KEY)
-
-
-def cell_config(spec: SweepSpec, cell: Cell, run_index: int) -> SimConfig:
-    seed = derive_seed(
-        spec.root_seed,
-        cell.operator,
-        cell.n,
-        cell.r_index,
-        cell.sigma_index,
-        cell.consensus,
-        run_index,
-    )
-    return _config(spec, cell, seed)
-
-
-def _config(spec: SweepSpec, cell: Cell, seed: int) -> SimConfig:
-    return SimConfig(
-        operator=cell.operator,
-        k=spec.k,
-        n=cell.n,
-        r=cell.r,
-        sigma=cell.sigma,
-        max_iterations=spec.max_iterations,
-        consensus_enabled=cell.consensus,
-        seed=seed,
-        trajectory_stride=spec.trajectory_stride,
-        convergence_window=spec.convergence_window,
-    )
+def cell_config(spec: SweepSpec, cell: SimConfig, run_index: int) -> SimConfig:
+    """The cell's config for one run; r and sigma indices are their places in the spec."""
+    seed = derive_seed(spec.root_seed, cell.operator, cell.n, spec.r_values.index(cell.r),
+                       spec.sigma_values.index(cell.sigma), cell.consensus_enabled, run_index)
+    return replace(cell, seed=seed)
 
 
 def resolve_workers(workers: int | None = None) -> int:

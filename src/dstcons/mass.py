@@ -71,7 +71,9 @@ class FrameOfDiscernment:
         return tuple(i + 1 for i in range(self.n) if subset >> i & 1)
 
     def check_subset(self, subset: int) -> None:
-        if type(subset) is not int or not 1 <= subset <= self.full_set:
+        if type(subset) is not int:
+            raise ValueError(f"subset index must be an integer, got {subset!r}")
+        if not 1 <= subset <= self.full_set:
             raise ValueError(
                 f"subset index {subset} invalid for n={self.n}; "
                 f"expected 1..{self.full_set} (empty set is not allowed)"
@@ -95,11 +97,9 @@ class MassFunction:
     __slots__ = ("frame", "focal")
 
     def __init__(self, frame: FrameOfDiscernment, focal: Mapping[int, float]):
-        full = frame.full_set
         total = 0.0
         for subset, value in focal.items():
-            if type(subset) is not int or not 1 <= subset <= full:
-                raise ValueError(f"invalid focal set index {subset} for n={frame.n}")
+            frame.check_subset(subset)
             if not value > 0.0:
                 raise ValueError(f"mass for subset {subset} must be > 0, got {value}")
             total += value

@@ -65,8 +65,11 @@ class TestFrame:
             with pytest.raises(ValueError, match="state index must be an integer"):
                 F3.singleton(i)
         assert F3.members(5) == (1, 3)
-        for subset in (0, 8, True):
+        for subset in (0, 8):
             with pytest.raises(ValueError, match=f"subset index {subset} invalid"):
+                F3.check_subset(subset)
+        for subset in (np.int64(7), True):
+            with pytest.raises(ValueError, match="subset index must be an integer"):
                 F3.check_subset(subset)
 
 
@@ -76,8 +79,12 @@ class TestMassFunctionInvariants:
             MassFunction(F3, {0: 0.5, 7: 0.5})
 
     def test_rejects_bool_key(self):
-        with pytest.raises(ValueError, match="invalid focal set index True"):
+        with pytest.raises(ValueError, match="subset index must be an integer, got True"):
             MassFunction(F3, {True: 1.0})
+
+    def test_rejects_numpy_integer_key(self):
+        with pytest.raises(ValueError, match=r"subset index must be an integer, got np.int64\(7\)"):
+            MassFunction(F3, {np.int64(7): 1.0})
 
     def test_rejects_zero_entry(self):
         with pytest.raises(ValueError):

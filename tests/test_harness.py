@@ -3,7 +3,9 @@
 import csv
 import io
 import json
+import re
 from dataclasses import astuple, fields, replace
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -28,9 +30,8 @@ from dstcons import (
 )
 from dstcons.harness import (
     ALL_OPERATORS,
-    CELL_KEY,
     OPERATOR_IDS,
-    Cell,
+    SUMMARY_COLUMNS,
     CellSummary,
     ConfigError,
     RunRecord,
@@ -141,6 +142,39 @@ class TestSeedDerivation:
         assert derive_seed(1, "yager", 3, 0, 1, True, 0) != base
         assert derive_seed(1, "yager", 3, 0, 0, False, 0) != base
         assert derive_seed(1, "yager", 3, 0, 0, True, 1) != base
+
+    # Inputs no sweep can produce, as derive_seed arguments after the operator.
+    @pytest.mark.parametrize("args, message", [
+        ((0, 3, 0, 0, 2, 0), "consensus must be a bool, got 2"),
+        ((0, 3, 0, 0, None, 0), "consensus must be a bool, got None"),
+        ((0, 1, 0, 0, True, 0), "n must be >= 2, got 1"),
+        ((0, 3.5, 0, 0, True, 0), "n must be an integer, got 3.5"),
+        ((0, 3, 0, 0, True, True), "run_index must be an integer, got True"),
+        ((-1, 3, 0, 0, True, 0), "root_seed must be >= 0, got -1"),
+        ((0, 3, -1, 0, True, 0), "r_index must be >= 0, got -1"),
+        ((0, 3, 0, np.int64(0), True, 0), "sigma_index must be an integer"),
+        ((0, 3, 0, 0, True, -2), "run_index must be >= 0, got -2"),
+    ])
+    def test_inputs_no_sweep_produces_are_refused(self, args, message):
+        root_seed, *rest = args
+        with pytest.raises(ValueError, match=re.escape(message)):
+            derive_seed(root_seed, "yager", *rest)
+
+    def test_seed_indices_are_places_in_the_spec_lists(self):
+        # The lists are out of order, so the sorted cells' places differ.
+        spec = SweepSpec(operators=("yager",), r_values=(0.6, 0.2), sigma_values=(0.3, 0.0, 0.1),
+                         root_seed=5, baselines=True)
+        r_index = {r: i for i, r in enumerate(spec.r_values)}
+        sigma_index = {sigma: i for i, sigma in enumerate(spec.sigma_values)}
+        assert list(spec.r_values) != sorted(spec.r_values)
+        assert list(spec.sigma_values) != sorted(spec.sigma_values)
+        for cell in build_cells(spec):
+            config = cell_config(spec, cell, 3)
+            assert config.seed == derive_seed(
+                5, "yager", 3, r_index[cell.r], sigma_index[cell.sigma],
+                cell.consensus_enabled, 3,
+            )
+            assert config == replace(cell, seed=config.seed)
 
     def test_appending_grid_points_preserves_existing_cells(self):
         small = run_sweep(GOLDEN_SPEC)
@@ -429,6 +463,12 @@ class TestSummaryContents:
             assert tuple(result.trajectory_bel[-1].tolist()) == record.mean_bel
             assert float(result.trajectory_pl_best[-1]) == record.mean_pl_best
 
+    def test_kept_cell_is_the_run_config_at_the_root_seed(self):
+        sweep = run_sweep(MIXED_SPEC, keep_results=True)
+        assert len(sweep.results) == len(sweep.records)
+        for cell, _, result in sweep.results:
+            assert cell == replace(result.config, seed=MIXED_SPEC.root_seed)
+
 
 class TestMeanTrajectory:
     def test_grid_padding_holds_steady_state(self):
@@ -564,6 +604,18 @@ COUNT_FIELDS = (
 )
 
 
+class TestReadme:
+    TEXT = (Path(__file__).parent.parent / "README.md").read_text()
+
+    def test_config_example_parses(self):
+        block, = re.findall(r"```ini\n(.*?)```", self.TEXT, re.DOTALL)
+        assert sweep_spec_from_config(block).operators == ("dubois_prade", "dempster")
+
+    def test_summary_header_matches_columns(self):
+        header, = re.findall(r"with the header\n\n```\n(.*?)\n```", self.TEXT)
+        assert header == ",".join(SUMMARY_COLUMNS)
+
+
 class TestSpecValidation:
     @pytest.mark.parametrize(
         "field, values",
@@ -676,8 +728,9 @@ class TestCells:
         spec = sweep_spec_from_config(TestConfigParsing.CONFIG)
         cells = build_cells(spec)
         assert len(cells) == 2 * 3 * 2  # operators x rates x consensus modes
-        assert {c.consensus for c in cells} == {True, False}
-        assert cells == sorted(cells, key=CELL_KEY)
+        assert {c.consensus_enabled for c in cells} == {True, False}
+        assert cells == sorted(cells, key=attrgetter("operator", "n", "r", "sigma",
+                                                     "consensus_enabled"))
 
     def test_no_consensus_mode(self):
         spec = SweepSpec(operators=("yager",), consensus=False, k=1)
