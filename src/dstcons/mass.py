@@ -165,12 +165,20 @@ def pignistic(m: MassFunction) -> list[float]:
     """
     probs = [0.0] * m.frame.n
     for subset, value in m.focal.items():
-        share = value / subset.bit_count()
-        while subset:
-            low = subset & -subset
-            probs[low.bit_length() - 1] += share
-            subset ^= low
+        members = _MEMBERS.get(subset)
+        if members is None:
+            members = _MEMBERS[subset] = tuple(
+                j for j in range(subset.bit_length()) if subset >> j & 1)
+        share = value / len(members)
+        for j in members:
+            probs[j] += share
     return probs
+
+
+# The 0-based member states of each subset pignistic has met, by bitmask, in
+# ascending order: a pure function of the key, so every caller may share it.
+# Filled on first use, not as a 2^n table: n is unbounded.
+_MEMBERS: dict[int, tuple[int, ...]] = {}
 
 
 def conflict(m1: MassFunction, m2: MassFunction) -> float:
@@ -278,6 +286,21 @@ def _conjunctive(f1: Mapping, f2: Mapping) -> tuple[dict[int, float], float]:
     """Intersection products by subset, and the conflict K of disjoint pairs."""
     raw: dict[int, float] = {}
     k = 0.0
+    if len(f2) == 2:
+        # An evidence operand: the inner loop unrolled, same sums in the same order.
+        (b1, w1), (b2, w2) = f2.items()
+        for a, va in f1.items():
+            c = a & b1
+            if c:
+                raw[c] = raw.get(c, 0.0) + va * w1
+            else:
+                k += va * w1
+            c = a & b2
+            if c:
+                raw[c] = raw.get(c, 0.0) + va * w2
+            else:
+                k += va * w2
+        return raw, k
     for a, va in f1.items():
         for b, vb in f2.items():
             c = a & b
@@ -312,6 +335,15 @@ def _dubois_prade_products(f1: Mapping, f2: Mapping) -> dict[int, float]:
 def _dubois_prade_loop(f1: Mapping, f2: Mapping) -> dict[int, float]:
     """The products summed pair by pair into a dict, f1 outer and f2 inner."""
     raw: dict[int, float] = {}
+    if len(f2) == 2:
+        # As in _conjunctive: the inner loop unrolled for an evidence operand.
+        (b1, w1), (b2, w2) = f2.items()
+        for a, va in f1.items():
+            c = a & b1 or a | b1
+            raw[c] = raw.get(c, 0.0) + va * w1
+            c = a & b2 or a | b2
+            raw[c] = raw.get(c, 0.0) + va * w2
+        return raw
     for a, va in f1.items():
         for b, vb in f2.items():
             c = a & b

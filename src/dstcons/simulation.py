@@ -13,8 +13,10 @@ distinct runs share no state and can execute in parallel.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from math import fsum, isfinite
 from numbers import Real
+from operator import is_not
 from typing import Sequence
 
 import numpy as np
@@ -192,8 +194,11 @@ def run(config: SimConfig) -> RunResult:
         if config.consensus_enabled:
             skips += consensus_step(agents, config, rng)
 
+        # An agent that kept its object is unchanged: compare only the replaced
+        # ones, in index order.
         unchanged = all(
-            a is b or approx_eq(a, b, EPS_CONV) for a, b in zip(agents, prev)
+            approx_eq(agents[i], prev[i], EPS_CONV)
+            for i in compress(range(len(agents)), map(is_not, agents, prev))
         )
         stable = stable + 1 if unchanged else 0
         prev = agents.copy()

@@ -10,7 +10,8 @@ Jacobian is the reference for the one ``numeric_jacobian`` sums from the
 library's product loops.  The evidence step and the state selection without
 their shortcut for certain agents are the references the shortcut is
 replayed against.  The bit-position pignistic loop is the
-reference for ``pignistic``'s walk over set bits.
+reference for ``pignistic``'s cached member lists, and the generic pair
+loops are the references for the product loops' two-focal branch.
 """
 
 from __future__ import annotations
@@ -143,6 +144,41 @@ def pignistic_reference(m: MassFunction) -> list[float]:
             subset >>= 1
             i += 1
     return probs
+
+
+def conjunctive_reference(f1, f2) -> tuple[dict[int, float], float]:
+    """``mass._conjunctive`` as one pair loop, f1 outer and f2 inner, for any f2."""
+    raw: dict[int, float] = {}
+    k = 0.0
+    for a, va in f1.items():
+        for b, vb in f2.items():
+            c = a & b
+            if c:
+                raw[c] = raw.get(c, 0.0) + va * vb
+            else:
+                k += va * vb
+    return raw, k
+
+
+def dubois_prade_loop_reference(f1, f2) -> dict[int, float]:
+    """``mass._dubois_prade_loop`` as one pair loop, f1 outer and f2 inner, for any f2."""
+    raw: dict[int, float] = {}
+    for a, va in f1.items():
+        for b, vb in f2.items():
+            c = a & b
+            if not c:
+                c = a | b
+            raw[c] = raw.get(c, 0.0) + va * vb
+    return raw
+
+
+def random_subsets(rng: np.random.Generator, n: int, count: int) -> list[int]:
+    """``count`` distinct non-empty subsets of an n-state frame (n <= 62), in
+    random order, drawn without listing all 2^n - 1 of them."""
+    subsets: dict[int, None] = {}
+    while len(subsets) < count:
+        subsets[int(rng.integers(1, 1 << n))] = None
+    return list(subsets)
 
 
 def random_mass(

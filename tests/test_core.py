@@ -28,7 +28,15 @@ from dstcons import (
 from dstcons import mass
 from dstcons.mass import _dubois_prade_arrays, _dubois_prade_loop
 
-from oracle import combine_dense, dense, pignistic_reference, random_mass
+from oracle import (
+    combine_dense,
+    conjunctive_reference,
+    dense,
+    dubois_prade_loop_reference,
+    pignistic_reference,
+    random_mass,
+    random_subsets,
+)
 
 F2 = FrameOfDiscernment(2)
 F3 = FrameOfDiscernment(3)
@@ -150,14 +158,20 @@ class TestPignistic:
     def test_categorical(self):
         np.testing.assert_allclose(pignistic(CAT_S2), [0.0, 1.0, 0.0])
 
-    @pytest.mark.parametrize("n", range(2, 11))
+    @pytest.mark.parametrize("n", [*range(2, 13), 40])
     def test_matches_bit_position_reference_exactly(self, n):
         rng = np.random.default_rng(n)
         frame = FrameOfDiscernment(n)
         for max_focal in (1, 3, 16, None):
             for _ in range(10):
-                m = random_mass(rng, frame, max_focal)
-                assert pignistic(m) == pignistic_reference(m)
+                if n <= 12:
+                    m = random_mass(rng, frame, max_focal)
+                else:  # too wide to list every subset
+                    count = int(rng.integers(1, (max_focal or 64) + 1))
+                    subsets = random_subsets(rng, n, count)
+                    m = MassFunction(frame, _with_values(rng, subsets, "mass"))
+                # The second call reads every member list from the cache.
+                assert pignistic(m) == pignistic_reference(m) == pignistic(m)
 
 
 class TestConflict:
@@ -223,6 +237,11 @@ def _dp_operand(rng, n, count, values):
     normalised masses, signed off-simplex values, or values whose products
     underflow to subnormals and to (signed) zeros."""
     subsets = rng.permutation(np.arange(1, 1 << n))[:count].tolist()
+    return _with_values(rng, subsets, values)
+
+
+def _with_values(rng, subsets, values):
+    count = len(subsets)
     if values == "mass":
         v = rng.random(count) + 1e-6
         v /= v.sum()
@@ -267,6 +286,51 @@ class TestDuboisPradeArrayKernel:
         wide = {1 << 16: 0.5, **_dp_operand(rng, 8, 19, "mass")}
         mass._dubois_prade_products(wide, f20)  # a 17-state subset
         assert len(taken) == 1
+
+
+class TestTwoFocalProducts:
+    """A two-focal second operand takes the product loops' unrolled branch,
+    which must give the generic pair loop's items, in order, bit for bit."""
+
+    @staticmethod
+    def operands(rng, n, count, shape, values):
+        """A ``count``-focal first operand and a two-focal second one: evidence
+        ({s_i} and the frame, in either order), focal sets disjoint from every
+        focal set of the first, or focal sets overlapping one of them."""
+        full = (1 << n) - 1
+        if shape == "disjoint":
+            low = n // 2  # the first operand lives on states 1..low, the second above
+            subsets = random_subsets(rng, low, min(count, (1 << low) - 1))
+            second = [b << low for b in random_subsets(rng, n - low, 2)]
+        else:
+            subsets = random_subsets(rng, n, min(count, full))
+            single = 1 << int(rng.integers(n))
+            if shape == "evidence":
+                second = [single, full]
+            elif shape == "evidence_reversed":
+                second = [full, single]
+            else:
+                first = subsets[0] | single
+                other = next(b for b in random_subsets(rng, n, 2) if b != first)
+                second = [first, other]
+        return _with_values(rng, subsets, values), _with_values(rng, second, values)
+
+    @pytest.mark.parametrize("values", DP_VALUES)
+    @pytest.mark.parametrize("n", [*range(2, 13), 40])
+    def test_matches_the_pair_loops_exactly(self, n, values):
+        rng = np.random.default_rng([n, DP_VALUES.index(values), 2])
+        shapes = ["evidence", "evidence_reversed", "overlapping"]
+        if n >= 3:  # at n=2 one state is left for the second operand's two sets
+            shapes.append("disjoint")
+        for shape in shapes:
+            for count in (1, 2, 3, 20, 100):
+                f1, f2 = self.operands(rng, n, count, shape, values)
+                raw, k = mass._conjunctive(f1, f2)
+                ref_raw, ref_k = conjunctive_reference(f1, f2)
+                assert list(raw.items()) == list(ref_raw.items())
+                assert k == ref_k
+                assert list(_dubois_prade_loop(f1, f2).items()) == list(
+                    dubois_prade_loop_reference(f1, f2).items())
 
 
 class TestYager:

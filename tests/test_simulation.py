@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import dstcons.evidence as evidence
 import dstcons.mass as mass
 import dstcons.simulation as simulation
 from dstcons import (
@@ -27,7 +28,13 @@ from dstcons import (
     run_sweep,
 )
 from dstcons.mass import CERTAINTY_PRESERVING, COMBINERS
-from oracle import check_convergence, evidence_step_reference, renormalize_reference
+from oracle import (
+    check_convergence,
+    conjunctive_reference,
+    evidence_step_reference,
+    pignistic_reference,
+    renormalize_reference,
+)
 
 F3 = FrameOfDiscernment(3)
 
@@ -401,15 +408,20 @@ class TestRun:
         if result.converged:
             assert result.convergence_iteration <= config.max_iterations
 
-    def test_windowed_check_agrees_with_incremental_detection(self):
+    @pytest.mark.parametrize("consensus", [True, False])
+    @pytest.mark.parametrize("op", ["dempster", "dubois_prade", "yager", "average"])
+    def test_windowed_check_agrees_with_incremental_detection(self, op, consensus):
         # Replay a run and keep explicit snapshots; the public windowed check
-        # must fire at exactly the iteration run() reported.
+        # must fire at exactly the iteration run() reported.  Averaging never
+        # settles here, so neither check may fire; Dempster with consensus
+        # skips totally conflicting pairs.
         config = SimConfig(
-            operator="dubois_prade", k=10, n=3, r=0.3, sigma=0.0, seed=21,
-            max_iterations=2000,
+            operator=op, k=10, n=3, r=0.3, sigma=0.3, seed=3,
+            max_iterations=600, consensus_enabled=consensus,
         )
         result = run(config)
-        assert result.converged
+        assert result.converged == (op != "average")
+        assert (result.dempster_skips > 0) == (op == "dempster" and consensus)
         t_conv = result.convergence_iteration
 
         rng = np.random.default_rng(config.seed)
@@ -420,7 +432,8 @@ class TestRun:
         detected = None
         for t in range(1, config.max_iterations + 1):
             evidence_step(agents, qualities, config, rng)
-            consensus_step(agents, config, rng)
+            if consensus:
+                consensus_step(agents, config, rng)
             snapshots.append(agents.copy())
             if len(snapshots) >= window + 1 and check_convergence(
                 snapshots[-(window + 1):]
@@ -538,3 +551,30 @@ class TestUncheckedConstruction:
         monkeypatch.setattr(MassFunction, "_trusted", checked)
         assert replay_outcome() == unchecked
         assert built
+
+
+class TestWideFrame:
+    """The run path builds no per-frame table: a run at n=40 needs no 2^40 entries."""
+
+    @staticmethod
+    def outcome(config):
+        result = run(config)
+        return (result.convergence_iteration, result.dempster_skips,
+                [list(m.focal.items()) for m in result.steady_state],
+                result.trajectory_bel.tolist(), result.trajectory_pl_best.tolist())
+
+    @pytest.mark.parametrize("op", ["dempster", "yager"])
+    def test_n40_run_matches_the_reference_loops(self, op, monkeypatch):
+        config = SimConfig(operator=op, k=10, n=40, r=0.3, sigma=0.1, seed=4,
+                           max_iterations=50, trajectory_stride=5)
+        current = self.outcome(config)
+        pairs = []
+
+        def counted(f1, f2):
+            pairs.append(len(f1) * len(f2))
+            return conjunctive_reference(f1, f2)
+
+        monkeypatch.setattr(mass, "_conjunctive", counted)
+        monkeypatch.setattr(evidence, "pignistic", pignistic_reference)
+        assert self.outcome(config) == current
+        assert max(pairs) > 2  # some operand held more than one focal set
