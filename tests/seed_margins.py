@@ -3,57 +3,32 @@
 Runs acceptance criteria 4-9 and the supplementary rate check at root seeds
 0-9 (30 runs per cell, as in ``test_acceptance``), prints every criterion's
 line at each seed, then the number of seeds at which each line passes.  The
-bounds, cells and run counts are the acceptance module's own; only its root
-seed changes.  Pytest does not collect this file.  From the repository root:
+bounds, cells and run counts are those of ``studies``, which the acceptance
+module also reads; only the root seed changes.  Pytest does not collect this
+file.  From the repository root:
 
-    DSTCONS_WORKERS=2 PYTHONPATH=src python tests/seed_margins.py [SEED ...]
+    DSTCONS_WORKERS=2 python tests/seed_margins.py [SEED ...]
 
-One seed takes about two minutes with two workers.
+One seed takes about a minute with two workers.
 """
 
-from __future__ import annotations
-
-import contextlib
-import io
 import sys
 
-import test_acceptance as acceptance
-
-CRITERIA = (
-    acceptance.test_criterion_04_trajectory_cell_reproduction,
-    acceptance.test_criterion_05_evidence_rate_extremes,
-    acceptance.test_criterion_06_evidence_only_baseline,
-    acceptance.test_criterion_07_noise_robustness,
-    acceptance.test_criterion_08_scalability,
-    acceptance.test_criterion_09_convergence_times,
-    acceptance.test_supplementary_rate_monotonicity,
-)
+import studies
 
 
-def run_seed(seed: int) -> list[tuple[str, bool]]:
-    """Each criterion's printed line at root ``seed``, and whether it passed."""
-    acceptance.ROOT_SEED = seed
-    acceptance._cell_cached.cache_clear()
-    lines = []
-    for criterion in CRITERIA:
-        printed = io.StringIO()
-        with contextlib.redirect_stdout(printed):
-            try:
-                criterion()
-                passed = True
-            except AssertionError:
-                passed = False
-        lines.append((printed.getvalue().strip(), passed))
-    return lines
+def run_seed(seed: int, setting: dict[str, float] | None = None) -> list[tuple[bool, str]]:
+    """Whether each criterion passes at root ``seed`` under ``setting``, and its line."""
+    sweeps = studies.run_cells(studies.CELLS, seed, setting)
+    return [check(*(sweeps[c] for c in check.cells)) for check in studies.CRITERIA]
 
 
 def main(seeds: list[int]) -> None:
     failed_at: dict[str, list[int]] = {}
     for seed in seeds:
-        for line, passed in run_seed(seed):
-            print(f"seed {seed} {line}", flush=True)
-            # "PASS AC5 evidence-rate extremes: ..." -> "AC5 evidence-rate extremes"
-            label = line.split(": ", 1)[0].split(" ", 1)[1]
+        for passed, line in run_seed(seed):
+            print(f"seed {seed} {'PASS' if passed else 'FAIL'} {line}", flush=True)
+            label = line.split(": ", 1)[0]
             failed_at.setdefault(label, [])
             if not passed:
                 failed_at[label].append(seed)

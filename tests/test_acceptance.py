@@ -1,8 +1,8 @@
 """Acceptance gate: one test per criterion, printed as a PASS/FAIL line each.
 
 Stochastic criteria use 30 runs per cell (k = 100, cap 5000) with a fixed
-root seed, so every number below is reproducible.  Cells are cached and
-shared between criteria; the whole module takes a few minutes of CPU.
+root seed, so every number below is reproducible.  Cells are cached and shared
+between criteria; the module took 83-88 s of CPU on a 2-vCPU host, one process.
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines live.
 
 Criterion 4's Dempster check.  An earlier form of criterion 4 bounded
@@ -39,13 +39,10 @@ import numpy as np
 import pytest
 
 from dstcons import (
-    EPS_CONV,
     EPS_NORM,
     FrameOfDiscernment,
     MassFunction,
-    SweepSpec,
     TotalConflictError,
-    approx_eq,
     bel,
     classify,
     combine_dubois_prade,
@@ -58,48 +55,28 @@ from dstcons import (
 )
 from dstcons.cli import cli_main
 
+import studies
 from oracle import combine_dense, dense, random_mass
 
 ROOT_SEED = 0
-RUNS_PER_CELL = 30
 F3 = FrameOfDiscernment(3)
 
 DP_SUBSETS = (1, 2, 4, 3, 5, 6)  # polynomial-map coordinate order, as bitmasks
 
 
-def _report(criterion: str, ok: bool, detail: str) -> None:
-    print(f"{'PASS' if ok else 'FAIL'} {criterion}: {detail}")
-    assert ok, f"{criterion}: {detail}"
-
-
-def cell(operator, n=3, r=0.05, sigma=0.1, consensus=True, runs=RUNS_PER_CELL):
-    # Normalize arguments so keyword and default call styles share cache hits.
-    return _cell_cached(operator, n, float(r), float(sigma), consensus, runs)
+def _report(ok: bool, line: str) -> None:
+    print(f"{'PASS' if ok else 'FAIL'} {line}")
+    assert ok, line
 
 
 @lru_cache(maxsize=None)
-def _cell_cached(operator, n, r, sigma, consensus, runs):
-    spec = SweepSpec(
-        operators=(operator,),
-        n_values=(n,),
-        k=100,
-        r_values=(r,),
-        sigma_values=(sigma,),
-        runs_per_cell=runs,
-        max_iterations=5000,
-        root_seed=ROOT_SEED,
-        consensus=consensus,
-    )
-    return run_sweep(spec, workers=None)  # DSTCONS_WORKERS, else 1
+def _sweep(cell):
+    return run_sweep(studies.spec(cell, ROOT_SEED), workers=None)  # DSTCONS_WORKERS, else 1
 
 
-def _summary(operator, **kwargs):
-    return cell(operator, **kwargs).summaries[0]
-
-
-def _unanimous_best_runs(operator):
-    """Headline-cell runs that end with Bel(best) = 1 in every agent."""
-    return sum(rec.mean_bel[-1] >= 1.0 - EPS_CONV for rec in cell(operator).records)
+def _judge(criterion) -> None:
+    """Run ``criterion``'s cells (each once per session) and report its line."""
+    _report(*criterion(*map(_sweep, criterion.cells)))
 
 
 def test_criterion_01_operator_correctness():
@@ -163,9 +140,8 @@ def test_criterion_01_operator_correctness():
         and worst_duality <= EPS_NORM
     )
     _report(
-        "AC1 operator correctness",
         ok,
-        f"{pairs_checked} combinations: oracle dev {worst_oracle:.2e}, "
+        f"AC1 operator correctness: {pairs_checked} combinations: oracle dev {worst_oracle:.2e}, "
         f"commutativity {worst_comm:.2e}, normalization {worst_norm:.2e}, "
         f"neutral {worst_neutral:.2e}, duality {worst_duality:.2e}",
     )
@@ -185,7 +161,7 @@ def test_criterion_02_polynomial_map_anchor():
         combined = combine_dubois_prade(m, m)
         generic = np.array([combined.focal.get(a, 0.0) for a in DP_SUBSETS])
         worst = max(worst, float(np.max(np.abs(image - generic))))
-    _report("AC2 polynomial-map anchor", worst <= 1e-12, f"max deviation {worst:.2e}")
+    _report(worst <= 1e-12, f"AC2 polynomial-map anchor: max deviation {worst:.2e}")
 
 
 def test_criterion_03_fixed_point_classification():
@@ -214,166 +190,42 @@ def test_criterion_03_fixed_point_classification():
         and worst_avg < 1e-12
     )
     _report(
-        "AC3 fixed-point classification",
         ok,
-        f"categorical residual {worst_residual:.2e}, D&P categoricals {dp_classes}, "
-        f"D&P vacuous {vacuous_report.classification} "
+        f"AC3 fixed-point classification: categorical residual {worst_residual:.2e}, "
+        f"D&P categoricals {dp_classes}, D&P vacuous {vacuous_report.classification} "
         f"(rho={vacuous_report.spectral_radius:.3f}), avg residual {worst_avg:.2e}",
     )
 
 
 def test_criterion_04_trajectory_cell_reproduction():
-    """The r=0.05, sigma=0.1 headline cell for all four operators."""
-    dp = _summary("dubois_prade")
-    yr = _summary("yager")
-    dr = _summary("dempster")
-    avg = _summary("average")
-    dr_unanimous = _unanimous_best_runs("dempster")
-    dp_unanimous = _unanimous_best_runs("dubois_prade")
-    checks = [
-        ("D&P mean >= 0.95", dp.mean_bel_best >= 0.95, f"{dp.mean_bel_best:.4f}"),
-        ("YR mean >= 0.95", yr.mean_bel_best >= 0.95, f"{yr.mean_bel_best:.4f}"),
-        ("DR mean >= 0.80", dr.mean_bel_best >= 0.80, f"{dr.mean_bel_best:.4f}"),
-        (
-            # This ordering rests on Dempster's total-conflict threshold,
-            # K >= 1 - EPS_CONFLICT in mass.combine_dempster: pairs within
-            # EPS_CONFLICT of total conflict are skipped and leave stuck
-            # minority agents (tests/tolerance_margins.py varies it).
-            # With the threshold at 1 - 1e-15, root seeds 0-3 give 29/24/24/27
-            # unanimous-best Dempster runs instead of 26/21/19/26; at seed 0
-            # that is 29 against D&P's 29, and this line would fail.
-            "DR unanimous-best runs < D&P",
-            dr_unanimous < dp_unanimous,
-            f"{dr_unanimous}/{RUNS_PER_CELL} vs {dp_unanimous}/{RUNS_PER_CELL}",
-        ),
-        (
-            "AVG mean in [0.25, 0.55]",
-            0.25 <= avg.mean_bel_best <= 0.55,
-            f"{avg.mean_bel_best:.4f}",
-        ),
-        ("AVG never converges", avg.converged_fraction == 0.0, f"{avg.converged_fraction}"),
-    ]
-    for op in ("dubois_prade", "yager", "dempster"):
-        records = cell(op).records
-        gap = abs(
-            np.mean([rec.mean_bel[-1] for rec in records])
-            - np.mean([rec.mean_pl_best for rec in records])
-        )
-        # Sampling basis: passes at root seeds 0-9 (30 runs) except seed 4, where
-        # Yager's gap is 1.21e-05 (others 0 to 1.82e-09).  That is premature
-        # stasis, a property of the protocol, not sampling noise: the window
-        # declared one run converged while an untouched agent was uncommitted.
-        # The repository holds no source for the 1e-6 bound.
-        checks.append((f"{op} |Bel-Pl| < 1e-6", gap < 1e-6, f"{gap:.2e}"))
-    ok = all(c[1] for c in checks)
-    _report(
-        "AC4 headline-cell reproduction",
-        ok,
-        "; ".join(f"{name}={detail}{'' if passed else ' <-- FAIL'}"
-                  for name, passed, detail in checks),
-    )
+    # The "DR unanimous-best runs < D&P" ordering rests on Dempster's
+    # total-conflict threshold, K >= 1 - EPS_CONFLICT in mass.combine_dempster:
+    # pairs within EPS_CONFLICT of total conflict are skipped and leave stuck
+    # minority agents (tests/tolerance_margins.py varies it).
+    # With the threshold at 1 - 1e-15, root seeds 0-3 give 29/24/24/27
+    # unanimous-best Dempster runs instead of 26/21/19/26; at seed 0
+    # that is 29 against D&P's 29, and this line would fail.
+    _judge(studies.headline)
 
 
 def test_criterion_05_evidence_rate_extremes():
-    """DR leads at very low r; DR degrades while D&P/YR hold at r=1."""
-    dr_low = _summary("dempster", r=0.002)
-    dp_low = _summary("dubois_prade", r=0.002)
-    dr_hi = _summary("dempster", r=1.0)
-    dp_hi = _summary("dubois_prade", r=1.0)
-    yr_hi = _summary("yager", r=1.0)
-    # Sampling basis of "DR leads at r=0.002": over root seeds 0-9 (30 runs) the
-    # DR - D&P gap runs from -0.040 to +0.198 (mean 0.106, SD 0.073) and the
-    # line fails at seed 8.  Source: the abstract's "Dempster's rule is more
-    # effective for very low evidence rates"; the repository holds none for
-    # r=0.002 as the very low rate.
-    ok = (
-        dr_low.mean_bel_best > dp_low.mean_bel_best
-        and dr_hi.mean_bel_best < 0.85
-        and dp_hi.mean_bel_best >= 0.95
-        and yr_hi.mean_bel_best >= 0.95
-    )
-    _report(
-        "AC5 evidence-rate extremes",
-        ok,
-        f"r=0.002: DR {dr_low.mean_bel_best:.4f} > D&P {dp_low.mean_bel_best:.4f}; "
-        f"r=1: DR {dr_hi.mean_bel_best:.4f} < 0.85, D&P {dp_hi.mean_bel_best:.4f}, "
-        f"YR {yr_hi.mean_bel_best:.4f}",
-    )
+    _judge(studies.rate_extremes)
 
 
 def test_criterion_06_evidence_only_baseline():
-    """Without pairwise combination, consensus often lands on the wrong state."""
-    dr = _summary("dempster", consensus=False)
-    dp = _summary("dubois_prade", consensus=False)
-    ok = 0.45 <= dr.mean_bel_best <= 0.75 and 0.45 <= dp.mean_bel_best <= 0.75
-    _report(
-        "AC6 evidence-only baseline",
-        ok,
-        f"r=0.05 sigma=0.1 evidence-only: DR {dr.mean_bel_best:.4f}, "
-        f"D&P {dp.mean_bel_best:.4f} (band [0.45, 0.75])",
-    )
+    _judge(studies.evidence_only)
 
 
 def test_criterion_07_noise_robustness():
-    """D&P/YR hold near 1 across sigma at r=0.1; DR degrades with noise."""
-    sigmas = (0.0, 0.1, 0.2, 0.3)
-    held = {}
-    for op in ("dubois_prade", "yager"):
-        held[op] = [_summary(op, r=0.1, sigma=s).mean_bel_best for s in sigmas]
-    dr_clean = _summary("dempster", r=0.1, sigma=0.0).mean_bel_best
-    dr_noisy = _summary("dempster", r=0.1, sigma=0.3).mean_bel_best
-    drop = dr_clean - dr_noisy
-    ok = (
-        all(v >= 0.95 for vals in held.values() for v in vals)
-        and drop >= 0.1
-    )
-    _report(
-        "AC7 noise robustness",
-        ok,
-        f"D&P {['%.3f' % v for v in held['dubois_prade']]}, "
-        f"YR {['%.3f' % v for v in held['yager']]}, "
-        f"DR drop {dr_clean:.4f} -> {dr_noisy:.4f} (delta {drop:.4f} >= 0.1)",
-    )
+    _judge(studies.noise_robustness)
 
 
 def test_criterion_08_scalability():
-    """Belief in the best state for n = 5 and n = 10 at r=0.05, sigma=0."""
-    yr5 = _summary("yager", n=5, sigma=0.0).mean_bel_best
-    yr10 = _summary("yager", n=10, sigma=0.0).mean_bel_best
-    dp10 = _summary("dubois_prade", n=10, sigma=0.0).mean_bel_best
-    # Sampling basis of "YR n=10 >= 0.8": over root seeds 0-9 (30 runs) the cell
-    # mean is 0.867 with SD 0.080, and the line fails at seeds 7 and 9 (0.7667,
-    # 0.7997).  The repository holds no source for the 0.8 bound.
-    ok = yr5 >= 0.9 and yr10 >= 0.8 and 0.4 <= dp10 <= 0.8 and yr10 > dp10
-    _report(
-        "AC8 scalability",
-        ok,
-        f"YR n=5 {yr5:.4f} >= 0.9; YR n=10 {yr10:.4f} >= 0.8; "
-        f"D&P n=10 {dp10:.4f} in [0.4, 0.8]; YR > D&P at n=10",
-    )
+    _judge(studies.scalability)
 
 
 def test_criterion_09_convergence_times():
-    """Time-to-stasis trends: DR speeds up with r; D&P stays flat around 700."""
-    dr_times = [
-        _summary("dempster", r=r).mean_conv_iter for r in (0.001, 0.1, 1.0)
-    ]
-    dp_times = [
-        _summary("dubois_prade", r=r).mean_conv_iter for r in (0.05, 0.1, 0.5)
-    ]
-    ok = (
-        all(t is not None for t in dr_times + dp_times)
-        and dr_times[0] > dr_times[1] > dr_times[2]
-        and dr_times[2] < 100
-        and all(300 <= t <= 1500 for t in dp_times)
-    )
-    _report(
-        "AC9 convergence times",
-        ok,
-        f"DR mean stasis iterations {['%.1f' % t for t in dr_times]} "
-        f"(strictly decreasing, r=1 < 100); "
-        f"D&P {['%.1f' % t for t in dp_times]} (each in [300, 1500])",
-    )
+    _judge(studies.convergence_times)
 
 
 def test_criterion_10_sweep_determinism(tmp_path):
@@ -401,33 +253,9 @@ def test_criterion_10_sweep_determinism(tmp_path):
             out.read_bytes() + (tmp_path / f"{tag}_runs.csv").read_bytes()
         )
     ok = outputs[0] == outputs[1] == outputs[2]
-    _report(
-        "AC10 sweep determinism",
-        ok,
-        f"{len(outputs[0])} output bytes identical across repeats and worker counts 1/8",
-    )
+    _report(ok, f"AC10 sweep determinism: {len(outputs[0])} output bytes identical "
+                "across repeats and worker counts 1/8")
 
 
 def test_supplementary_rate_monotonicity():
-    """Sanity: D&P/YR mean belief non-decreasing in r at sigma=0 within pooled SE.
-
-    Cells here routinely have ALL runs at exactly 1.0, making the sample SE
-    collapse to 0 even though the true sampling noise is not zero (a lone
-    run with one stray agent shifts the mean by 1e-3).  The pooled SE is
-    floored accordingly so the comparison stays meaningful.
-    """
-    rates = (0.02, 0.05, 0.1, 0.5, 1.0)
-    runs = 10
-    se_floor = 0.005
-    detail = []
-    ok = True
-    for op in ("dubois_prade", "yager"):
-        stats = [cell(op, r=r, sigma=0.0, runs=runs) for r in rates]
-        means = [s.summaries[0].mean_bel_best for s in stats]
-        errs = [s.summaries[0].std_bel_best / np.sqrt(runs) for s in stats]
-        for i in range(len(rates) - 1):
-            pooled = max(float(np.hypot(errs[i], errs[i + 1])), se_floor)
-            if means[i + 1] < means[i] - pooled:
-                ok = False
-        detail.append(f"{op} {['%.3f' % m for m in means]}")
-    _report("supplementary rate monotonicity (sigma=0)", ok, "; ".join(detail))
+    _judge(studies.rate_monotonicity)
