@@ -7,6 +7,8 @@ noise draw and the singleton mass is clamped to [0, 1].
 
 from __future__ import annotations
 
+from math import isnan
+
 import numpy as np
 
 from .mass import FrameOfDiscernment, MassFunction, check_count, make_vacuous, pignistic
@@ -31,10 +33,19 @@ def evidence_mass(
     rescale to total 1; averaging moves it halfway to the vacuous mass.  A NaN
     ``q_i + epsilon`` is refused; an infinite one clamps like any other.
     """
-    v = min(max(q_i + epsilon, 0.0), 1.0)
-    if not 0.0 <= v <= 1.0:
+    if isnan(q_i + epsilon):
         raise ValueError(f"q_i + epsilon must be a number, got {q_i!r} + {epsilon!r}")
-    singleton = frame.singleton(i)
+    return _evidence_mass(frame, frame.singleton(i), q_i, epsilon)
+
+
+def _evidence_mass(
+    frame: FrameOfDiscernment, singleton: int, q_i: float, epsilon: float
+) -> MassFunction:
+    """``evidence_mass`` for the state of bitmask ``singleton``, with no checks.
+
+    The run path calls it with a state from ``select_state`` and a finite value.
+    """
+    v = min(max(q_i + epsilon, 0.0), 1.0)
     if v == 0.0:
         return make_vacuous(frame)
     if v == 1.0:

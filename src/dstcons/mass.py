@@ -266,6 +266,23 @@ def renormalize(m: MassFunction) -> MassFunction:
     return MassFunction._trusted(m.frame, {a: v / total for a, v in kept.items()})
 
 
+def _normalize_floats(raw: list[float]) -> list[float]:
+    """``renormalize(_from_products(...))`` on masses held as a list, 0.0 for absent.
+
+    The same divisions by the same ``fsum`` totals, so every entry has the
+    bits the dict path gives it.  An exact 0.0 stays 0.0 (the dict path drops
+    it); when a positive entry is below ``EPS_PRUNE``, every such entry becomes
+    0.0 and the rest are rescaled once more.
+    """
+    total = fsum(raw)
+    out = [v / total for v in raw]
+    if min(filter(None, out)) >= EPS_PRUNE:
+        return out
+    kept = [v if v >= EPS_PRUNE else 0.0 for v in out]
+    total = fsum(kept)
+    return [v / total for v in kept]
+
+
 def approx_eq(m1: MassFunction, m2: MassFunction, eps: float) -> bool:
     """Componentwise comparison; subsets absent from one side read as 0."""
     _check_same_frame(m1, m2)

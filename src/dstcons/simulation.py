@@ -6,6 +6,14 @@ pair of agents replaces both beliefs with their operator combination.  A run
 ends when the whole population has been unchanged (within ``EPS_CONV``) for
 ``convergence_window`` consecutive iterations, or at the iteration cap.
 
+``run`` holds the agents as a list of ``MassFunction``s, except under
+averaging.  Averaging keeps every agent on the singletons and the whole frame
+S, so its run holds each agent as the n + 1 floats
+``[m({s_1}), ..., m({s_n}), m(S)]`` and builds mass functions only for
+``steady_state``, whose focal sets it lists in ascending subset order.  Its
+draws and every float it reports are those of ``evidence_step`` and
+``consensus_step`` on mass functions.
+
 Runs are strictly sequential and fully determined by the config seed;
 distinct runs share no state and can execute in parallel.
 """
@@ -16,17 +24,22 @@ from dataclasses import dataclass
 from itertools import compress
 from math import fsum, isfinite
 from numbers import Real
-from operator import is_not
+from operator import add, is_not
 from typing import Sequence
 
 import numpy as np
 
-from .evidence import default_qualities, evidence_mass, select_state
+# The run path builds evidence without evidence_mass's checks: its state comes
+# from select_state.  It keeps the public name here, where bench/tracing.py
+# wraps it to time evidence and count clamped values.
+from .evidence import _evidence_mass as evidence_mass
+from .evidence import default_qualities, select_state
 from .mass import (
     CERTAINTY_PRESERVING,
     FrameOfDiscernment,
     MassFunction,
     TotalConflictError,
+    _normalize_floats,
     approx_eq,
     bel,
     check_count,
@@ -121,9 +134,10 @@ def evidence_step(
         m = agents[idx]
         i = select_state(m, rng)
         epsilon = rng.standard_normal() * config.sigma
-        if preserving and len(m.focal) == 1 and m.focal.get(1 << (i - 1)) == 1.0:
+        singleton = 1 << (i - 1)
+        if preserving and len(m.focal) == 1 and m.focal.get(singleton) == 1.0:
             continue
-        ev = evidence_mass(m.frame, i, quality[i - 1], epsilon)
+        ev = evidence_mass(m.frame, singleton, quality[i - 1], epsilon)
         updated = _fuse(combine, m, ev)
         if updated is None:
             skips += 1
@@ -175,29 +189,124 @@ def population_means(agents: Sequence[MassFunction]) -> tuple[tuple[float, ...],
     return bels, pl_best
 
 
+# Averaging's agents as float lists, 0.0 where a set is not focal.  The steps
+# make the draws of evidence_step and consensus_step in the same order, and
+# every float they compute is a sum of two terms or an fsum, which no order of
+# the terms changes, so a run's outputs keep their bits.  A list is never
+# mutated: the pair of a consensus step shares one, as it shares a mass.
+
+
+def _average_evidence_step(
+    agents: list[list[float]], quality: list[float], config: SimConfig,
+    rng: np.random.Generator,
+) -> int:
+    """``evidence_step`` for averaging's float-list agents; never skips."""
+    n = len(quality)
+    sigma = config.sigma
+    random, normal = rng.random, rng.standard_normal
+    gates = random(len(agents))
+    for idx in (gates < config.r).nonzero()[0].tolist():
+        a = agents[idx]
+        # select_state: the pignistic p_j = m({s_j}) + m(S) / n, inverted as there.
+        share = a[n] / n
+        u = random()
+        cum = 0.0
+        for j in range(n):
+            p = a[j] + share
+            if p > 0.0:
+                last = j
+                cum += p
+                if u < cum:
+                    break
+        else:
+            j = last
+        # The evidence {s_j}: v, S: 1 - v, then the pointwise mean.
+        v = quality[j] + normal() * sigma
+        mean = [0.5 * x for x in a]
+        if v <= 0.0:
+            mean[n] += 0.5
+        elif v >= 1.0:
+            mean[j] += 0.5
+        else:
+            mean[j] += 0.5 * v
+            mean[n] += 0.5 * (1.0 - v)
+        agents[idx] = _normalize_floats(mean)
+    return 0
+
+
+def _average_consensus_step(
+    agents: list[list[float]], config: SimConfig, rng: np.random.Generator
+) -> int:
+    """``consensus_step`` for averaging's float-list agents; never skips."""
+    k = len(agents)
+    i = int(rng.integers(k))
+    j = int(rng.integers(k - 1))
+    if j >= i:
+        j += 1
+    agents[i] = agents[j] = _normalize_floats(
+        [0.5 * x + 0.5 * y for x, y in zip(agents[i], agents[j])])
+    return 0
+
+
+def _average_means(agents: list[list[float]]) -> tuple[tuple[float, ...], float]:
+    """``population_means`` of float-list agents.
+
+    Pl({s_n}) of an agent is m({s_n}) + m(S), one rounding, as ``fsum`` of the two.
+    """
+    k = len(agents)
+    *singletons, full = zip(*agents)
+    bels = tuple(fsum(column) / k for column in singletons)
+    return bels, fsum(map(add, singletons[-1], full)) / k
+
+
+def _average_close(a: list[float], b: list[float], eps: float) -> bool:
+    """``approx_eq`` of two float-list agents."""
+    for x, y in zip(a, b):
+        if abs(x - y) > eps:
+            return False
+    return True
+
+
+def _average_masses(frame: FrameOfDiscernment, agents: list[list[float]]) -> list[MassFunction]:
+    """The float-list agents as mass functions, focal sets in ascending order."""
+    subsets = [1 << j for j in range(frame.n)] + [frame.full_set]
+    return [MassFunction._trusted(frame, {s: v for s, v in zip(subsets, a) if v > 0.0})
+            for a in agents]
+
+
 def run(config: SimConfig) -> RunResult:
     """Execute a full run; deterministic given the config (including seed)."""
     qualities = default_qualities(config.n)
     rng = np.random.default_rng(config.seed)
-    agents = [make_vacuous(FrameOfDiscernment(config.n))] * config.k
+    frame = FrameOfDiscernment(config.n)
+    averaging = config.operator == "average"
+    if averaging:
+        qualities = qualities.tolist()
+        agents = [[0.0] * config.n + [1.0]] * config.k
+        evidence, consensus = _average_evidence_step, _average_consensus_step
+        means, same = _average_means, _average_close
+    else:
+        agents = [make_vacuous(frame)] * config.k
+        evidence, consensus = evidence_step, consensus_step
+        means, same = population_means, approx_eq
     skips = 0
     stride = config.trajectory_stride
     samples: list[tuple[int, tuple[float, ...], float]] = []
     if stride:
-        samples.append((0, *population_means(agents)))
+        samples.append((0, *means(agents)))
 
     prev = agents.copy()
     stable = 0
     convergence_iteration: int | None = None
     for t in range(1, config.max_iterations + 1):
-        skips += evidence_step(agents, qualities, config, rng)
+        skips += evidence(agents, qualities, config, rng)
         if config.consensus_enabled:
-            skips += consensus_step(agents, config, rng)
+            skips += consensus(agents, config, rng)
 
         # An agent that kept its object is unchanged: compare only the replaced
         # ones, in index order.
         unchanged = all(
-            approx_eq(agents[i], prev[i], EPS_CONV)
+            same(agents[i], prev[i], EPS_CONV)
             for i in compress(range(len(agents)), map(is_not, agents, prev))
         )
         stable = stable + 1 if unchanged else 0
@@ -205,7 +314,7 @@ def run(config: SimConfig) -> RunResult:
 
         closed = stable >= config.convergence_window
         if stride and (t % stride == 0 or closed or t == config.max_iterations):
-            samples.append((t, *population_means(agents)))
+            samples.append((t, *means(agents)))
         if closed:
             convergence_iteration = t
             break
@@ -215,10 +324,9 @@ def run(config: SimConfig) -> RunResult:
         config=config,
         converged=convergence_iteration is not None,
         convergence_iteration=convergence_iteration,
-        steady_state=agents,
+        steady_state=_average_masses(frame, agents) if averaging else agents,
         trajectory_iterations=np.array(iterations, dtype=int),
         trajectory_bel=np.array(bels).reshape(-1, config.n),
         trajectory_pl_best=np.array(pl_best),
         dempster_skips=skips,
     )
-

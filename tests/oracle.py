@@ -12,6 +12,8 @@ their shortcut for certain agents are the references the shortcut is
 replayed against.  The bit-position pignistic loop is the
 reference for ``pignistic``'s cached member lists, and the generic pair
 loops are the references for the product loops' two-focal branch.
+``run_reference`` runs the public steps on ``MassFunction`` agents: the
+reference for the float lists that ``run`` holds under averaging.
 """
 
 from __future__ import annotations
@@ -27,12 +29,18 @@ from dstcons import (
     EPS_PRUNE,
     FrameOfDiscernment,
     MassFunction,
+    RunResult,
     SimConfig,
     TotalConflictError,
     approx_eq,
+    consensus_step,
+    default_qualities,
     evidence_mass,
+    evidence_step,
     get_combiner,
+    make_vacuous,
     pignistic,
+    population_means,
     renormalize,
 )
 
@@ -288,3 +296,45 @@ def evidence_step_reference(
         except TotalConflictError:
             skips += 1
     return skips
+
+
+def run_reference(config: SimConfig) -> RunResult:
+    """``run`` on ``MassFunction`` agents for every operator, through the public
+    ``evidence_step`` and ``consensus_step``.
+
+    The same loop, window, stride and samples as ``run``; the convergence check
+    compares every agent with its value one iteration before.
+    """
+    qualities = default_qualities(config.n)
+    rng = np.random.default_rng(config.seed)
+    agents = [make_vacuous(FrameOfDiscernment(config.n))] * config.k
+    skips = 0
+    stride = config.trajectory_stride
+    samples = [(0, *population_means(agents))] if stride else []
+    prev = agents.copy()
+    stable = 0
+    convergence_iteration = None
+    for t in range(1, config.max_iterations + 1):
+        skips += evidence_step(agents, qualities, config, rng)
+        if config.consensus_enabled:
+            skips += consensus_step(agents, config, rng)
+        unchanged = all(approx_eq(a, b, EPS_CONV) for a, b in zip(agents, prev))
+        stable = stable + 1 if unchanged else 0
+        prev = agents.copy()
+        closed = stable >= config.convergence_window
+        if stride and (t % stride == 0 or closed or t == config.max_iterations):
+            samples.append((t, *population_means(agents)))
+        if closed:
+            convergence_iteration = t
+            break
+    iterations, bels, pl_best = zip(*samples) if samples else ((), (), ())
+    return RunResult(
+        config=config,
+        converged=convergence_iteration is not None,
+        convergence_iteration=convergence_iteration,
+        steady_state=agents,
+        trajectory_iterations=np.array(iterations, dtype=int),
+        trajectory_bel=np.array(bels).reshape(-1, config.n),
+        trajectory_pl_best=np.array(pl_best),
+        dempster_skips=skips,
+    )

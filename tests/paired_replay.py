@@ -4,8 +4,8 @@ Runs the same 648 seeded runs with this checkout's ``src/`` and with
 ``OTHER_SRC`` (say, ``src/`` of the parent commit, unpacked with
 ``git archive``), in ``studies.run_cells`` children, and compares every
 ``RunResult`` field: the config, convergence flag and iteration, Dempster
-skips, each agent's steady-state focal items in insertion order, and the
-trajectory arrays.  Floats are compared bit for bit.  The grid is 216 sweep
+skips, each agent's steady-state focal items in insertion order (in ascending
+order for averaging, whose run lists them so), and the trajectory arrays.  Floats are compared bit for bit.  The grid is 216 sweep
 cells of 3 runs (4 operators x n in {2, 3, 5} x r in {0.02, 0.3, 1} x sigma in
 {0, 0.1, 0.3} x consensus on/off) at root seed 0, with k=30, a 600-iteration
 cap, a 40-iteration window and trajectory stride 7.  Pytest does not collect

@@ -246,13 +246,20 @@ def run_cells(cells, root_seed, setting=None, src=SRC, exact=False, **fields) ->
 
 
 def _exact(result) -> dict:
-    """A ``RunResult`` as JSON that compares bit for bit."""
+    """A ``RunResult`` as JSON that compares bit for bit.
+
+    Focal items keep their insertion order, except for averaging, whose run
+    builds its masses from float lists at the end, in ascending subset order:
+    they are sorted there.
+    """
+    order = sorted if result.config.operator == "average" else list
     return {
         "config": asdict(result.config),
         "converged": result.converged,
         "convergence_iteration": result.convergence_iteration,
         "dempster_skips": result.dempster_skips,
-        "steady_state": [[[a, v.hex()] for a, v in m.focal.items()] for m in result.steady_state],
+        "steady_state": [[[a, v.hex()] for a, v in order(m.focal.items())]
+                         for m in result.steady_state],
         "trajectory_iterations": result.trajectory_iterations.tolist(),
         "trajectory_bel": [[v.hex() for v in row] for row in result.trajectory_bel.tolist()],
         "trajectory_pl_best": [v.hex() for v in result.trajectory_pl_best.tolist()],

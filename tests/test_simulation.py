@@ -34,6 +34,7 @@ from oracle import (
     evidence_step_reference,
     pignistic_reference,
     renormalize_reference,
+    run_reference,
 )
 
 F3 = FrameOfDiscernment(3)
@@ -47,13 +48,19 @@ REPLAY_SPEC = SweepSpec(
 )
 
 
+def focal_items(result):
+    """Each final agent's focal items in insertion order, or in ascending
+    order for averaging, whose order says nothing: its run builds the masses
+    from float lists at the end."""
+    order = sorted if result.config.operator == "average" else list
+    return [order(m.focal.items()) for m in result.steady_state]
+
+
 def replay_outcome():
     """``REPLAY_SPEC``'s records (skips included) and every final agent's
-    focal items, in insertion order."""
+    focal items (``focal_items``)."""
     sweep = run_sweep(REPLAY_SPEC, workers=1, keep_results=True)
-    finals = [[list(m.focal.items()) for m in result.steady_state]
-              for _, _, result in sweep.results]
-    return sweep.records, finals
+    return sweep.records, [focal_items(result) for _, _, result in sweep.results]
 
 
 class TestConfigValidation:
@@ -445,7 +452,9 @@ class TestRun:
 
 class TestSingleNormalisation:
     """``run`` normalises once per update; the old second pass moved only ulps.
-    Wide D&P products are summed on arrays, to the dict loop's exact bits."""
+    Wide D&P products are summed on arrays, to the dict loop's exact bits.
+    Averaging's float lists call no ``renormalize``, so its reference is the
+    replay of the public steps on mass functions."""
 
     @pytest.mark.parametrize("op", ["dempster", "dubois_prade", "yager", "average"])
     def test_paired_replay_against_double_normalisation(self, op, monkeypatch):
@@ -455,8 +464,9 @@ class TestSingleNormalisation:
             for seed, (n, r) in enumerate([(3, 0.05), (3, 1.0), (5, 0.05), (5, 1.0)])
         ]
         current = [run(config) for config in configs]
+        replay = run_reference if op == "average" else run
         monkeypatch.setattr(simulation, "renormalize", renormalize_reference)
-        reference = [run(config) for config in configs]
+        reference = [replay(config) for config in configs]
         for a, b in zip(current, reference):
             assert a.convergence_iteration == b.convergence_iteration
             assert a.dempster_skips == b.dempster_skips
@@ -504,6 +514,88 @@ class TestSingleNormalisation:
                 assert np.array_equal(getattr(a, field), getattr(b, field))
             assert [list(m.focal.items()) for m in a.steady_state] == [
                 list(m.focal.items()) for m in b.steady_state]
+
+
+class TestAveragingFloatLists:
+    """Averaging's run holds each agent as n + 1 floats, bit for bit the run of
+    the public steps on mass functions."""
+
+    CONFIGS = [
+        SimConfig(operator="average", k=20, n=n, r=r, sigma=sigma,
+                  consensus_enabled=consensus, seed=seed, max_iterations=200,
+                  convergence_window=40, trajectory_stride=7)
+        for n in (2, 3, 10) for r in (0.002, 0.3, 1.0) for sigma in (0.0, 0.3)
+        for consensus in (True, False) for seed in (0, 1)
+    ]
+
+    @staticmethod
+    def _watch(monkeypatch):
+        """Record the cases the mass-function path meets: pruning, evidence
+        clamped to 0 or 1, and an agent holding one singleton."""
+        met = set()
+        prune, build = simulation.renormalize, simulation.evidence_mass
+        select = simulation.select_state
+
+        def pruning(m):
+            out = prune(m)
+            if out is not m:
+                met.add("pruned")
+            return out
+
+        def clamping(frame, singleton, q_i, epsilon):
+            if q_i + epsilon <= 0.0:
+                met.add("v=0")
+            if q_i + epsilon >= 1.0:
+                met.add("v=1")
+            return build(frame, singleton, q_i, epsilon)
+
+        def selecting(m, rng):
+            if len(m.focal) == 1 and min(m.focal).bit_count() == 1:
+                met.add("one singleton")
+            return select(m, rng)
+
+        monkeypatch.setattr(simulation, "renormalize", pruning)
+        monkeypatch.setattr(simulation, "evidence_mass", clamping)
+        monkeypatch.setattr(simulation, "select_state", selecting)
+        return met
+
+    def test_float_lists_match_the_mass_function_path(self, monkeypatch):
+        current = [run(config) for config in self.CONFIGS]
+        met = self._watch(monkeypatch)
+        reference = [run_reference(config) for config in self.CONFIGS]
+        # Holding one singleton needs the frame pruned away, some 40 halvings
+        # by certain evidence in a row: the grid never gets there, so the step
+        # test below starts agents there.
+        assert met == {"pruned", "v=0", "v=1"}
+        for a, b in zip(current, reference):
+            assert a.convergence_iteration == b.convergence_iteration
+            assert a.dempster_skips == b.dempster_skips == 0
+            for field in ("trajectory_iterations", "trajectory_bel", "trajectory_pl_best"):
+                assert np.array_equal(getattr(a, field), getattr(b, field))
+            assert focal_items(a) == focal_items(b)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_steps_match_from_agents_holding_one_singleton(self, seed, monkeypatch):
+        # One draw selects the state of an agent holding one singleton, as in
+        # select_state's shortcut.  Evidence for one state prunes the dust on
+        # the other.
+        full = F3.full_set
+        subsets = (1, 2, 4, full)
+        masses = [MassFunction(F3, focal) for focal in (
+            {1: 1.0}, {4: 1.0}, {2: 0.5, 4: 0.5}, {1: 0.25, 2: 0.25, full: 0.5},
+            {full: 1.0}, {1: 1e-13, 2: 1e-13, full: 1 - 2e-13})]
+        floats = [[m.focal.get(a, 0.0) for a in subsets] for m in masses]
+        config = SimConfig(operator="average", k=len(masses), n=3, r=1.0, sigma=0.3)
+        qualities = default_qualities(3)
+        met = self._watch(monkeypatch)
+        by_mass, by_floats = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(30):
+            evidence_step(masses, qualities, config, by_mass)
+            consensus_step(masses, config, by_mass)
+            simulation._average_evidence_step(floats, qualities.tolist(), config, by_floats)
+            simulation._average_consensus_step(floats, config, by_floats)
+            assert floats == [[m.focal.get(a, 0.0) for a in subsets] for m in masses]
+        assert {"pruned", "one singleton"} <= met
 
 
 class TestCertainAgentShortcut:
