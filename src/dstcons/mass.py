@@ -12,6 +12,7 @@ instances are treated as immutable after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import fsum
 from typing import Mapping
 
@@ -51,7 +52,9 @@ class FrameOfDiscernment:
     def __post_init__(self) -> None:
         check_count("n", self.n, 2)
 
-    @property
+    # Read on every evidence update: cached in the instance dict, which a
+    # frozen dataclass still has, and which equality and hashing ignore.
+    @cached_property
     def full_set(self) -> int:
         """Bitmask of the whole frame (the universal set)."""
         return (1 << self.n) - 1

@@ -7,12 +7,21 @@ ends when the whole population has been unchanged (within ``EPS_CONV``) for
 ``convergence_window`` consecutive iterations, or at the iteration cap.
 
 ``run`` holds the agents as a list of ``MassFunction``s, except under
-averaging.  Averaging keeps every agent on the singletons and the whole frame
-S, so its run holds each agent as the n + 1 floats
-``[m({s_1}), ..., m({s_n}), m(S)]`` and builds mass functions only for
-``steady_state``, whose focal sets it lists in ascending subset order.  Its
-draws and every float it reports are those of ``evidence_step`` and
-``consensus_step`` on mass functions.
+averaging.  Under Dempster, Yager and Dubois & Prade it updates them with
+``evidence_step`` and ``consensus_step``, and every update that combines
+goes through this module's names ``select_state``, ``evidence_mass``,
+``get_combiner`` and ``renormalize``, and ``approx_eq`` for convergence.  A
+caller that replaces one of these names (``bench/tracing.py``'s spans,
+``bench/checks.py``'s combination sampler, a test double) sees every such
+update.  An agent certain of one state takes no combination: evidence for
+that state could not move it.
+
+Averaging keeps every agent on the singletons and the whole frame S, so its
+run holds each agent as the n + 1 floats ``[m({s_1}), ..., m({s_n}), m(S)]``
+and builds mass functions only for ``steady_state``, whose focal sets it
+lists in ascending subset order.  Its draws and every float it reports are
+those of ``evidence_step`` and ``consensus_step`` on mass functions, but it
+calls none of the names above.
 
 Runs are strictly sequential and fully determined by the config seed;
 distinct runs share no state and can execute in parallel.
@@ -29,9 +38,9 @@ from typing import Sequence
 
 import numpy as np
 
-# The run path builds evidence without evidence_mass's checks: its state comes
-# from select_state.  It keeps the public name here, where bench/tracing.py
-# wraps it to time evidence and count clamped values.
+# evidence_step builds evidence without evidence_mass's checks: its state
+# comes from select_state.  It is bound under the public name, which
+# bench/tracing.py wraps to time evidence and count clamped values.
 from .evidence import _evidence_mass as evidence_mass
 from .evidence import default_qualities, select_state
 from .mass import (
@@ -101,14 +110,6 @@ class RunResult:
     dempster_skips: int
 
 
-def _fuse(combine, m1: MassFunction, m2: MassFunction) -> MassFunction | None:
-    """``renormalize(combine(m1, m2))``, or None when the pair fully conflicts."""
-    try:
-        return renormalize(combine(m1, m2))
-    except TotalConflictError:
-        return None
-
-
 def evidence_step(
     agents: list[MassFunction],
     qualities: np.ndarray,
@@ -122,27 +123,34 @@ def evidence_step(
     evidence mass for quality ``qualities[i - 1]`` plus Gaussian noise of
     standard deviation ``sigma`` into its belief.  A totally conflicting
     Dempster update is skipped, leaving the agent unchanged.  An agent
-    certain of ``s_i`` keeps its object under evidence for ``s_i`` when the
-    operator is in ``CERTAINTY_PRESERVING``: the update could not move it.
+    certain of one state keeps its object when the operator is in
+    ``CERTAINTY_PRESERVING``: it selects that state, and the update could not
+    move it.  It makes the draws of the other agents (one uniform, one
+    normal) and calls nothing.
     """
     combine = get_combiner(config.operator)
     preserving = config.operator in CERTAINTY_PRESERVING
+    random, normal = rng.random, rng.standard_normal
     skips = 0
-    gates = rng.random(len(agents))
+    gates = random(len(agents))
     quality = qualities.tolist()
     for idx in (gates < config.r).nonzero()[0].tolist():
         m = agents[idx]
+        focal = m.focal
+        if preserving and len(focal) == 1:
+            (subset,) = focal
+            if not subset & (subset - 1) and focal[subset] == 1.0:
+                # select_state's one uniform, and the noise draw.
+                random()
+                normal()
+                continue
         i = select_state(m, rng)
-        epsilon = rng.standard_normal() * config.sigma
-        singleton = 1 << (i - 1)
-        if preserving and len(m.focal) == 1 and m.focal.get(singleton) == 1.0:
-            continue
-        ev = evidence_mass(m.frame, singleton, quality[i - 1], epsilon)
-        updated = _fuse(combine, m, ev)
-        if updated is None:
+        epsilon = normal() * config.sigma
+        ev = evidence_mass(m.frame, 1 << (i - 1), quality[i - 1], epsilon)
+        try:
+            agents[idx] = renormalize(combine(m, ev))
+        except TotalConflictError:
             skips += 1
-        else:
-            agents[idx] = updated
     return skips
 
 
@@ -163,10 +171,11 @@ def consensus_step(
     j = int(rng.integers(k - 1))
     if j >= i:
         j += 1
-    fused = _fuse(get_combiner(config.operator), agents[i], agents[j])
-    if fused is None:
+    combine = get_combiner(config.operator)
+    try:
+        agents[i] = agents[j] = renormalize(combine(agents[i], agents[j]))
+    except TotalConflictError:
         return 1
-    agents[i] = agents[j] = fused
     return 0
 
 

@@ -210,15 +210,17 @@ class TestEvidenceStep:
 
     def test_total_conflict_against_evidence_is_skipped(self, monkeypatch):
         # Unreachable through pignistic selection (a state with zero
-        # plausibility is never chosen), so force the selection.
+        # plausibility is never chosen), so force the selection.  The agent
+        # is not certain: a certain agent's selection is known, and it calls
+        # no select_state.
         monkeypatch.setattr(simulation, "select_state", lambda m, rng: 2)
         config = SimConfig(
             operator="dempster", k=1, n=3, r=1.0, sigma=0.0, consensus_enabled=False
         )
-        agents = [MassFunction(F3, {1: 1.0})]
+        agents = [MassFunction(F3, {1: 0.5, 5: 0.5})]
         qualities = np.array([0.5, 1.0, 0.5])
         skips = evidence_step(agents, qualities, config, np.random.default_rng(0))
-        assert agents[0].focal == {1: 1.0}
+        assert agents[0].focal == {1: 0.5, 5: 0.5}
         assert skips == 1
 
     @staticmethod

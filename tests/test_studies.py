@@ -14,6 +14,11 @@ import studies
 CONV_CELL = ("dubois_prade", 3, 0.3, 0.1, True, 4)
 CONV_FIELDS = dict(k=20, max_iterations=200)
 REPLAY_CELLS = [("dempster", 3, 0.02, 0.1, True, 2)]
+# Cells whose exact results (k=20, cap 200) move when the tolerance is set to
+# 0, as tolerance_margins.py sets it: combine_dempster and renormalize must
+# read it from dstcons.mass when called, not keep a copy of their own.
+MASS_SETTINGS = [("EPS_CONFLICT", ("dempster", 3, 0.3, 0.1, True, 2)),
+                 ("EPS_PRUNE", ("yager", 3, 1.0, 0.3, True, 2))]
 
 
 def test_criteria_read_37_cells_of_910_runs():
@@ -34,6 +39,13 @@ def test_setting_reaches_the_child():
     assert [rec.convergence_iteration for rec in own.records] == [None, None, 195, 175]
     child = studies.run_cells([CONV_CELL], 0, {"EPS_CONV": 0.2}, **CONV_FIELDS)[CONV_CELL]
     assert [rec.convergence_iteration for rec in child.records] == [192, 194, 165, 166]
+
+
+@pytest.mark.parametrize("name, cell", MASS_SETTINGS)
+def test_mass_setting_reaches_the_child(name, cell):
+    fields = dict(exact=True, k=20, max_iterations=200)
+    default = studies.run_cells([cell], 0, **fields)[cell]
+    assert studies.run_cells([cell], 0, {name: 0.0}, **fields)[cell] != default
 
 
 def test_failed_child_raises_its_stderr():
