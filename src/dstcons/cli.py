@@ -32,89 +32,94 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Each flag's dest is the SimConfig field, sweep config key or reproduce
+    # keyword it sets; a flag left out is absent, so the library default applies.
+    absent = argparse.SUPPRESS
 
-    p_run = sub.add_parser("run", help="execute a single simulation run")
+    p_run = sub.add_parser("run", help="execute a single simulation run", argument_default=absent)
     p_run.add_argument("--operator", required=True, choices=ALL_OPERATORS)
-    p_run.add_argument("--states", type=int, default=3, help="number of states n")
-    p_run.add_argument("--agents", type=int, default=100, help="population size k")
-    p_run.add_argument("--evidence-rate", type=float, default=0.05, metavar="R")
-    p_run.add_argument("--noise", type=float, default=0.0, metavar="SIGMA")
-    p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--max-iterations", type=int, default=5000)
-    p_run.add_argument("--no-consensus", action="store_true",
+    p_run.add_argument("--states", dest="n", type=int, metavar="STATES",
+                       help="number of states n")
+    p_run.add_argument("--agents", dest="k", type=int, metavar="AGENTS",
+                       help="population size k")
+    p_run.add_argument("--evidence-rate", dest="r", type=float, metavar="R")
+    p_run.add_argument("--noise", dest="sigma", type=float, metavar="SIGMA")
+    p_run.add_argument("--seed", type=int)
+    p_run.add_argument("--max-iterations", type=int)
+    p_run.add_argument("--no-consensus", dest="consensus_enabled", action="store_false",
                        help="evidence-only baseline (no pairwise combination)")
-    p_run.add_argument("--stride", type=int, default=1,
+    p_run.add_argument("--stride", dest="trajectory_stride", type=int, default=1,
+                       metavar="STRIDE",
                        help="trajectory sampling interval (0 disables the file)")
     p_run.add_argument("--out", default="trajectory.csv")
-    p_run.add_argument("--format", choices=FORMATS, default="csv")
     p_run.set_defaults(func=_cmd_run)
 
-    p_sweep = sub.add_parser("sweep", help="run a Monte Carlo sweep over a parameter grid")
-    p_sweep.add_argument("--config", help="flat key = value config file")
-    p_sweep.add_argument("--operator", help="override: comma-separated operator list")
-    p_sweep.add_argument("--states", help="override: comma-separated n list")
-    p_sweep.add_argument("--agents", type=int, help="override: population size k")
-    p_sweep.add_argument("--evidence-rate", help="override: comma-separated r list")
-    p_sweep.add_argument("--noise", help="override: comma-separated sigma list")
-    p_sweep.add_argument("--runs", type=int, help="override: runs per cell")
+    p_sweep = sub.add_parser("sweep", help="run a Monte Carlo sweep over a parameter grid",
+                             argument_default=absent)
+    p_sweep.add_argument("--config", default=None, help="flat key = value config file")
+    p_sweep.add_argument("--operator", dest="operators", metavar="OPERATOR",
+                         help="override: comma-separated operator list")
+    p_sweep.add_argument("--states", dest="n_values", metavar="STATES",
+                         help="override: comma-separated n list")
+    p_sweep.add_argument("--agents", dest="k", type=int, metavar="AGENTS",
+                         help="override: population size k")
+    p_sweep.add_argument("--evidence-rate", dest="r_values", metavar="EVIDENCE_RATE",
+                         help="override: comma-separated r list")
+    p_sweep.add_argument("--noise", dest="sigma_values", metavar="NOISE",
+                         help="override: comma-separated sigma list")
+    p_sweep.add_argument("--runs", dest="runs_per_cell", type=int, metavar="RUNS",
+                         help="override: runs per cell")
     p_sweep.add_argument("--max-iterations", type=int)
-    p_sweep.add_argument("--seed", type=int, help="override: root seed")
-    p_sweep.add_argument("--no-consensus", action="store_true",
+    p_sweep.add_argument("--seed", dest="root_seed", type=int, metavar="SEED",
+                         help="override: root seed")
+    p_sweep.add_argument("--no-consensus", dest="consensus", action="store_false",
                          help="run evidence-only cells instead of consensus cells")
     p_sweep.add_argument("--baselines", action="store_true",
                          help="also run evidence-only baseline cells")
     p_sweep.add_argument("--workers", type=int, default=None,
                          help="parallel worker processes (default: DSTCONS_WORKERS or 1)")
     p_sweep.add_argument("--out", default="sweep.csv")
-    p_sweep.add_argument("--format", choices=FORMATS, default="csv")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_fixed = sub.add_parser("fixedpoints",
                              help="residual/stability report for candidate fixed points")
     p_fixed.add_argument("--operator", choices=(*ALL_OPERATORS, "all"), default="all")
-    p_fixed.add_argument("--states", type=int, default=3, metavar="N", help="number of states n",
-                         choices=range(2, MAX_JACOBIAN_STATES + 1))
+    p_fixed.add_argument("--states", type=int, default=SimConfig.n, metavar="N",
+                         help="number of states n", choices=range(2, MAX_JACOBIAN_STATES + 1))
     p_fixed.add_argument("--out", default="fixedpoints.csv")
-    p_fixed.add_argument("--format", choices=FORMATS, default="csv")
     p_fixed.set_defaults(func=_cmd_fixedpoints)
 
     figures = ", ".join(f"{k}: {v}" for k, (v, _) in FIGURE_PRESETS.items())
-    p_repro = sub.add_parser("reproduce", help=f"canned experiments ({figures})")
+    p_repro = sub.add_parser("reproduce", help=f"canned experiments ({figures})",
+                             argument_default=absent)
     p_repro.add_argument("figure", choices=sorted(FIGURE_PRESETS))
-    p_repro.add_argument("--runs", type=int, default=100, help="runs per cell")
-    p_repro.add_argument("--seed", type=int, default=0, help="root seed")
-    p_repro.add_argument("--max-iterations", type=int, default=5000)
-    p_repro.add_argument("--workers", type=int, default=None)
-    p_repro.add_argument("--out", default="reproduction", help="output directory")
-    p_repro.add_argument("--format", choices=FORMATS, default="csv")
+    p_repro.add_argument("--runs", type=int, help="runs per cell")
+    p_repro.add_argument("--seed", dest="root_seed", type=int, metavar="SEED", help="root seed")
+    p_repro.add_argument("--max-iterations", type=int)
+    p_repro.add_argument("--workers", type=int)
+    p_repro.add_argument("--out", dest="out_dir", default="reproduction", metavar="OUT",
+                         help="output directory")
     p_repro.set_defaults(func=_cmd_reproduce)
 
+    for command in (p_run, p_sweep, p_fixed, p_repro):
+        command.add_argument("--format", dest="fmt", choices=FORMATS, default="csv")
     return parser
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    config = SimConfig(
-        operator=args.operator,
-        k=args.agents,
-        n=args.states,
-        r=args.evidence_rate,
-        sigma=args.noise,
-        max_iterations=args.max_iterations,
-        consensus_enabled=not args.no_consensus,
-        seed=args.seed,
-        trajectory_stride=args.stride,
-    )
+def _cmd_run(settings: dict) -> int:
+    out, fmt = settings.pop("out"), settings.pop("fmt")
+    config = SimConfig(**settings)
     result = run(config)
     if config.trajectory_stride:
-        trajectory = (args.operator, result.trajectory_iterations,
+        trajectory = (config.operator, result.trajectory_iterations,
                       result.trajectory_bel, result.trajectory_pl_best)
-        path = emit_trajectory([trajectory], args.out, fmt=args.format)
+        path = emit_trajectory([trajectory], out, fmt=fmt)
         print(f"wrote {path}")
     if result.converged:
         print(f"converged: true (iteration {result.convergence_iteration})")
     else:
         print(f"converged: false (cap {config.max_iterations})")
-    if args.operator == "dempster":
+    if config.operator == "dempster":
         print(f"skipped total-conflict interactions: {result.dempster_skips}")
     final_bel, _ = population_means(result.steady_state)
     bels = " ".join(f"s{j + 1}={v:.6g}" for j, v in enumerate(final_bel))
@@ -122,34 +127,32 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    text = Path(args.config).read_text() if args.config else ""
-    lists = {"operators": ("--operator", args.operator), "n_values": ("--states", args.states),
-             "r_values": ("--evidence-rate", args.evidence_rate),
-             "sigma_values": ("--noise", args.noise)}
-    overrides = {}
-    for key, (flag, value) in lists.items():
-        if value is not None:
+# Sweep list flag -> the config key it sets: its comma-separated text is
+# parsed as that key's config-file value, and a bad value names the flag.
+LIST_FLAGS = {"--operator": "operators", "--states": "n_values",
+              "--evidence-rate": "r_values", "--noise": "sigma_values"}
+
+
+def _cmd_sweep(settings: dict) -> int:
+    config, workers = settings.pop("config"), settings.pop("workers")
+    out, fmt = settings.pop("out"), settings.pop("fmt")
+    text = Path(config).read_text() if config else ""
+    for flag, key in LIST_FLAGS.items():
+        if key in settings:
             try:
-                overrides[key] = CONFIG_KEYS[key](value)
+                settings[key] = CONFIG_KEYS[key](settings[key])
             except ValueError as exc:
                 raise ValueError(f"bad value for {flag}: {exc}") from None
-    overrides.update(k=args.agents, runs_per_cell=args.runs,
-                     max_iterations=args.max_iterations, root_seed=args.seed)
-    if args.no_consensus:
-        overrides["consensus"] = False
-    if args.baselines:
-        overrides["baselines"] = True
-    spec = sweep_spec_from_config(text, overrides)
-    sweep = run_sweep(spec, workers=args.workers)
-    for path in emit_csv(sweep.summaries, args.out, sweep.records, fmt=args.format):
+    spec = sweep_spec_from_config(text, settings)
+    sweep = run_sweep(spec, workers=workers)
+    for path in emit_csv(sweep.summaries, out, sweep.records, fmt=fmt):
         print(f"wrote {path}")
     return 0
 
 
-def _cmd_fixedpoints(args: argparse.Namespace) -> int:
-    operators = ALL_OPERATORS if args.operator == "all" else (args.operator,)
-    frame = FrameOfDiscernment(args.states)
+def _cmd_fixedpoints(settings: dict) -> int:
+    operators = ALL_OPERATORS if settings["operator"] == "all" else (settings["operator"],)
+    frame = FrameOfDiscernment(settings["states"])
     columns = ["operator", "subset", "residual", "spectral_radius", "classification"]
     candidates = [*map(frame.singleton, range(1, frame.n + 1)), frame.full_set]
     rows = []
@@ -158,22 +161,13 @@ def _cmd_fixedpoints(args: argparse.Namespace) -> int:
             report = classify(operator, MassFunction(frame, {subset: 1.0}))
             rows.append([operator, frame.subset_label(subset), report.residual,
                          report.spectral_radius, report.classification])
-    _write_table(Path(args.out), columns, rows, args.format)
-    print(f"wrote {args.out}")
+    _write_table(Path(settings["out"]), columns, rows, settings["fmt"])
+    print(f"wrote {settings['out']}")
     return 0
 
 
-def _cmd_reproduce(args: argparse.Namespace) -> int:
-    written = reproduce(
-        args.figure,
-        args.out,
-        runs=args.runs,
-        root_seed=args.seed,
-        max_iterations=args.max_iterations,
-        workers=args.workers,
-        fmt=args.format,
-    )
-    for path in written:
+def _cmd_reproduce(settings: dict) -> int:
+    for path in reproduce(**settings):
         print(f"wrote {path}")
     return 0
 
@@ -181,11 +175,12 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
 def cli_main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        settings = vars(parser.parse_args(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
+    del settings["command"]
     try:
-        return args.func(args)
+        return settings.pop("func")(settings)
     except ValueError as exc:  # covers ConfigError and parameter validation
         print(f"error: {exc}", file=sys.stderr)
         return 2

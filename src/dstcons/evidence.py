@@ -59,12 +59,6 @@ def select_state(m: MassFunction, rng: np.random.Generator) -> int:
     Cumulative-sum inversion on a single uniform draw; states with exactly
     zero pignistic probability can never be selected.
     """
-    if len(m.focal) == 1:
-        (subset,) = m.focal
-        if subset.bit_count() == 1:
-            # One singleton: the inversion returns its state for every draw.
-            rng.random()
-            return subset.bit_length()
     probs = pignistic(m)
     u = rng.random()
     cum = 0.0

@@ -62,16 +62,16 @@ class SweepSpec:
 
     operators: tuple[str, ...]
     n_values: tuple[int, ...] = (3,)
-    k: int = 100
+    k: int = SimConfig.k
     r_values: tuple[float, ...] = (0.05,)
     sigma_values: tuple[float, ...] = (0.1,)
     runs_per_cell: int = 30
-    max_iterations: int = 5000
+    max_iterations: int = SimConfig.max_iterations
     root_seed: int = 0
     baselines: bool = False
     consensus: bool = True
-    convergence_window: int = 100
-    trajectory_stride: int = 0
+    convergence_window: int = SimConfig.convergence_window
+    trajectory_stride: int = SimConfig.trajectory_stride
 
     def __post_init__(self) -> None:
         grid_fields = ("operators", "n_values", "r_values", "sigma_values")
@@ -561,20 +561,21 @@ FINE_R_GRID = (0.0005, 0.001, 0.002, 0.004, 0.006, 0.008, 0.01)
 COARSE_R_GRID = (0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 1.0)
 SIGMA_GRID = (0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3)
 
-# figure -> (description, SweepSpec fields beyond those every preset shares)
+# figure -> (description, SweepSpec fields beyond those every preset shares);
+# a field named by neither takes SweepSpec's default.
 FIGURE_PRESETS = {
     "fig1": (
         "belief trajectories for all operators (n=3, r=0.05, sigma=0.1)",
-        dict(r_values=(0.05,), sigma_values=(0.1,), trajectory_stride=10),
+        dict(trajectory_stride=10),
     ),
     "fig2": (
         "steady-state belief vs evidence rate, with evidence-only baselines",
-        dict(r_values=FINE_R_GRID + COARSE_R_GRID, sigma_values=(0.1,), baselines=True),
+        dict(r_values=FINE_R_GRID + COARSE_R_GRID, baselines=True),
     ),
     "fig3": (
         "cross-run standard deviation vs evidence rate (r <= 0.5)",
         dict(r_values=tuple(r for r in FINE_R_GRID + COARSE_R_GRID if r <= 0.5),
-             sigma_values=(0.1,), baselines=True),
+             baselines=True),
     ),
     "fig4": (
         "steady-state belief vs noise level for r in {0.01, 0.05, 0.1}",
@@ -583,37 +584,40 @@ FIGURE_PRESETS = {
     "fig5": (
         "scalability: belief in the best state for n in {3, 5, 10}",
         dict(operators=("dubois_prade", "yager"), n_values=(3, 5, 10),
-             r_values=(0.05,), sigma_values=SIGMA_GRID),
+             sigma_values=SIGMA_GRID),
     ),
 }
 
 
 def preset_spec(
-    figure: str, runs: int = 100, root_seed: int = 0, max_iterations: int = 5000
+    figure: str,
+    runs: int = 100,
+    root_seed: int = SweepSpec.root_seed,
+    max_iterations: int = SweepSpec.max_iterations,
 ) -> SweepSpec:
     """The sweep grid behind each canned experiment."""
     if figure not in FIGURE_PRESETS:
         raise ConfigError(
             f"unknown figure {figure!r}; expected one of {sorted(FIGURE_PRESETS)}"
         )
-    shared = dict(
-        operators=ALL_OPERATORS, n_values=(3,), k=100, runs_per_cell=runs,
-        max_iterations=max_iterations, root_seed=root_seed,
-    )
+    shared = dict(operators=ALL_OPERATORS, runs_per_cell=runs,
+                  max_iterations=max_iterations, root_seed=root_seed)
     return SweepSpec(**{**shared, **FIGURE_PRESETS[figure][1]})
 
 
 def reproduce(
     figure: str,
     out_dir: str | Path,
-    runs: int = 100,
-    root_seed: int = 0,
-    max_iterations: int = 5000,
+    *,
     workers: int | None = None,
     fmt: str = "csv",
+    **preset,
 ) -> list[Path]:
-    """Run one canned experiment and write its summary/runs (and trajectory) files."""
-    spec = preset_spec(figure, runs=runs, root_seed=root_seed, max_iterations=max_iterations)
+    """Run one canned experiment and write its summary/runs (and trajectory) files.
+
+    ``preset`` holds the ``preset_spec`` keywords given: runs, root_seed, max_iterations.
+    """
+    spec = preset_spec(figure, **preset)
     _check_format(fmt)
     out_dir = Path(out_dir)
     suffix = "." + fmt

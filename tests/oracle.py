@@ -7,9 +7,9 @@ oracle.  The spectral radius by repeated squaring, the windowed convergence
 check and the two-pass normalisation are second routes to what ``classify``,
 ``run`` and ``renormalize`` compute their own way, and the dense-loop
 Jacobian is the reference for the one ``numeric_jacobian`` sums from the
-library's product loops.  The evidence step and the state selection without
-their shortcut for certain agents are the references the shortcut is
-replayed against.  The bit-position pignistic loop is the
+library's product loops.  The evidence step without its shortcut for
+certain agents, with its own plain state selection, is the reference the
+shortcut is replayed against.  The bit-position pignistic loop is the
 reference for ``pignistic``'s cached member lists, and the generic pair
 loops are the references for the product loops' two-focal branch.
 ``run_reference`` runs the public steps on ``MassFunction`` agents: the

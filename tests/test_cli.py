@@ -11,8 +11,9 @@ from pathlib import Path
 import pytest
 
 import dstcons
+from dstcons import SimConfig, SweepSpec, cli, harness
 from dstcons.cli import cli_main
-from dstcons.harness import FORMATS
+from dstcons.harness import FORMATS, preset_spec
 
 SWEEP_CONFIG = """
 operators = dubois_prade, dempster
@@ -209,6 +210,41 @@ def test_sweep_bad_list_override_names_its_flag(tmp_path, capsys, flag, value, m
     assert status == 2
     assert f"error: bad value for {flag}: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+class Built(Exception):
+    """Stops a command at the call that receives what it built."""
+
+
+@pytest.mark.parametrize(
+    "argv, target, expected",
+    [
+        (["run", "--operator", "yager"], (cli, "run"),
+         SimConfig(operator="yager", trajectory_stride=1)),
+        (["sweep", "--operator", "yager"], (cli, "run_sweep"), SweepSpec(operators=("yager",))),
+        (["reproduce", "fig2"], (harness, "run_sweep"), preset_spec("fig2")),
+    ],
+    ids=["run", "sweep", "reproduce"],
+)
+def test_flags_left_out_take_the_library_defaults(monkeypatch, argv, target, expected):
+    built = []
+
+    def receive(first, *args, **kwargs):
+        built.append(first)
+        raise Built
+
+    monkeypatch.setattr(*target, receive)
+    with pytest.raises(Built):
+        cli_main(argv)
+    assert built == [expected]
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "fixedpoints", "reproduce"])
+def test_help_text_matches_golden(monkeypatch, capsys, command):
+    # argparse wraps help to the terminal width, which COLUMNS sets.
+    monkeypatch.setenv("COLUMNS", "80")
+    assert cli_main([command, "--help"]) == 0
+    assert capsys.readouterr().out == (GOLDEN_DIR / f"help_{command}.txt").read_text()
 
 
 def test_fixedpoints_report(tmp_path):

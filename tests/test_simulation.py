@@ -578,9 +578,9 @@ class TestAveragingFloatLists:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_steps_match_from_agents_holding_one_singleton(self, seed, monkeypatch):
-        # One draw selects the state of an agent holding one singleton, as in
-        # select_state's shortcut.  Evidence for one state prunes the dust on
-        # the other.
+        # One draw selects the state of an agent holding one singleton: the
+        # pignistic inversion returns that state for every draw.  Evidence
+        # for one state prunes the dust on the other.
         full = F3.full_set
         subsets = (1, 2, 4, full)
         masses = [MassFunction(F3, focal) for focal in (
