@@ -11,7 +11,7 @@ from math import isnan
 
 import numpy as np
 
-from .mass import FrameOfDiscernment, MassFunction, check_count, make_vacuous, pignistic
+from .mass import FrameOfDiscernment, MassFunction, check_count, pignistic
 
 
 def default_qualities(n: int) -> np.ndarray:
@@ -44,13 +44,21 @@ def _evidence_mass(
     """``evidence_mass`` for the state of bitmask ``singleton``, with no checks.
 
     The run path calls it with a state from ``select_state`` and a finite value.
+    The two comparisons clamp as ``min(max(v, 0.0), 1.0)`` would, -0.0 and
+    infinities included, and the result is built in place, as
+    ``MassFunction._trusted`` builds: this runs once per evidence update.
     """
-    v = min(max(q_i + epsilon, 0.0), 1.0)
-    if v == 0.0:
-        return make_vacuous(frame)
-    if v == 1.0:
-        return MassFunction._trusted(frame, {singleton: 1.0})
-    return MassFunction._trusted(frame, {singleton: v, frame.full_set: 1.0 - v})
+    v = q_i + epsilon
+    if v <= 0.0:
+        focal = {frame.full_set: 1.0}
+    elif v >= 1.0:
+        focal = {singleton: 1.0}
+    else:
+        focal = {singleton: v, frame.full_set: 1.0 - v}
+    m = object.__new__(MassFunction)
+    m.frame = frame
+    m.focal = focal
+    return m
 
 
 def select_state(m: MassFunction, rng: np.random.Generator) -> int:

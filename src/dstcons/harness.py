@@ -17,6 +17,7 @@ from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import suppress
 from dataclasses import dataclass, replace
+from itertools import product
 from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
@@ -34,6 +35,10 @@ OPERATOR_IDS = {"dempster": 0, "dubois_prade": 1, "yager": 2, "average": 3}
 # The grid coordinates of a cell; cells, summaries and runs are ordered by them.
 CELL_FIELDS = ("operator", "n", "r", "sigma", "consensus")
 CELL_KEY = attrgetter(*CELL_FIELDS)
+# The same coordinates as SimConfig fields: a cell's consensus is its runs'
+# consensus_enabled.
+CONFIG_FIELDS = tuple("consensus_enabled" if f == "consensus" else f for f in CELL_FIELDS)
+CONFIG_KEY = attrgetter(*CONFIG_FIELDS)
 # What a cell's records share and its summary carries: the grid point and k.
 CELL_LABEL = CELL_FIELDS + ("k",)
 
@@ -201,20 +206,18 @@ def build_cells(spec: SweepSpec) -> list[SimConfig]:
     """Every grid point as a run config at the root seed.
 
     The configs are built in grid order, so a bad value is refused before the
-    sort compares it, then sorted by (operator, n, r, sigma, consensus).
+    sort compares it, then sorted by ``CONFIG_KEY``, the cell order.
     """
+    axes = (spec.operators, spec.n_values, spec.r_values, spec.sigma_values,
+            spec.consensus_modes())
     cells = [
-        SimConfig(operator=op, k=spec.k, n=n, r=r, sigma=sigma,
-                  max_iterations=spec.max_iterations, consensus_enabled=consensus,
-                  seed=spec.root_seed, trajectory_stride=spec.trajectory_stride,
+        SimConfig(**dict(zip(CONFIG_FIELDS, point)), k=spec.k,
+                  max_iterations=spec.max_iterations, seed=spec.root_seed,
+                  trajectory_stride=spec.trajectory_stride,
                   convergence_window=spec.convergence_window)
-        for op in spec.operators
-        for n in spec.n_values
-        for r in spec.r_values
-        for sigma in spec.sigma_values
-        for consensus in spec.consensus_modes()
+        for point in product(*axes)
     ]
-    return sorted(cells, key=attrgetter("operator", "n", "r", "sigma", "consensus_enabled"))
+    return sorted(cells, key=CONFIG_KEY)
 
 
 def cell_config(spec: SweepSpec, cell: SimConfig, run_index: int) -> SimConfig:
@@ -282,12 +285,8 @@ def _make_record(run_index: int, result: RunResult) -> RunRecord:
         else None
     )
     return RunRecord(
-        operator=config.operator,
-        n=config.n,
+        **dict(zip(CELL_FIELDS, CONFIG_KEY(config))),
         k=config.k,
-        r=config.r,
-        sigma=config.sigma,
-        consensus=config.consensus_enabled,
         run_index=run_index,
         seed=config.seed,
         converged=result.converged,

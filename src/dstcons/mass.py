@@ -94,7 +94,8 @@ class MassFunction:
     invariants (no empty set, positive entries, total 1 within ``EPS_NORM``).
     ``focal`` must not be mutated: one instance may be held by several agents.
     Masses computed from masses that were already checked (the combiners'
-    results, pruning, evidence) are built by ``_trusted`` and not checked again.
+    results, pruning, evidence) are not checked again: ``_from_products`` and
+    ``evidence._evidence_mass`` build theirs in place, the rest by ``_trusted``.
     """
 
     __slots__ = ("frame", "focal")
@@ -169,6 +170,10 @@ def pignistic(m: MassFunction) -> list[float]:
     """
     probs = [0.0] * m.frame.n
     for subset, value in m.focal.items():
+        if not subset & (subset - 1):
+            # A singleton's one share is its whole mass: value / 1 == value.
+            probs[subset.bit_length() - 1] += value
+            continue
         members = _MEMBERS.get(subset)
         if members is None:
             members = _MEMBERS[subset] = tuple(
@@ -197,7 +202,8 @@ def combine_dempster(m1: MassFunction, m2: MassFunction) -> MassFunction:
     Raises :class:`TotalConflictError` when K = 1 (within ``EPS_CONFLICT``); the
     consensus protocol treats that case as a skipped interaction.
     """
-    _check_same_frame(m1, m2)
+    if m1.frame is not m2.frame:
+        _check_same_frame(m1, m2)
     raw, k = _conjunctive(m1.focal, m2.focal)
     if k >= 1.0 - EPS_CONFLICT:
         raise TotalConflictError(f"total conflict between operands (K={k!r})")
@@ -206,13 +212,15 @@ def combine_dempster(m1: MassFunction, m2: MassFunction) -> MassFunction:
 
 def combine_dubois_prade(m1: MassFunction, m2: MassFunction) -> MassFunction:
     """Dubois & Prade's rule: disjoint products go to the union instead of being rescaled."""
-    _check_same_frame(m1, m2)
+    if m1.frame is not m2.frame:
+        _check_same_frame(m1, m2)
     return _from_products(m1.frame, _dubois_prade_products(m1.focal, m2.focal))
 
 
 def combine_yager(m1: MassFunction, m2: MassFunction) -> MassFunction:
     """Yager's rule: all conflicting mass is reallocated to the universal set."""
-    _check_same_frame(m1, m2)
+    if m1.frame is not m2.frame:
+        _check_same_frame(m1, m2)
     raw, k = _conjunctive(m1.focal, m2.focal)
     if k > 0.0:
         full = m1.frame.full_set
@@ -222,7 +230,8 @@ def combine_yager(m1: MassFunction, m2: MassFunction) -> MassFunction:
 
 def combine_average(m1: MassFunction, m2: MassFunction) -> MassFunction:
     """Pointwise arithmetic mean of the two mass functions."""
-    _check_same_frame(m1, m2)
+    if m1.frame is not m2.frame:
+        _check_same_frame(m1, m2)
     raw: dict[int, float] = {}
     for source in (m1.focal, m2.focal):
         for a, v in source.items():
@@ -288,7 +297,8 @@ def _normalize_floats(raw: list[float]) -> list[float]:
 
 def approx_eq(m1: MassFunction, m2: MassFunction, eps: float) -> bool:
     """Componentwise comparison; subsets absent from one side read as 0."""
-    _check_same_frame(m1, m2)
+    if m1.frame is not m2.frame:
+        _check_same_frame(m1, m2)
     for subset in m1.focal.keys() | m2.focal.keys():
         if abs(m1.focal.get(subset, 0.0) - m2.focal.get(subset, 0.0)) > eps:
             return False
@@ -296,8 +306,9 @@ def approx_eq(m1: MassFunction, m2: MassFunction, eps: float) -> bool:
 
 
 def _check_same_frame(m1: MassFunction, m2: MassFunction) -> None:
-    # The agents of a run share one frame object: skip the field comparison.
-    if m1.frame is not m2.frame and m1.frame != m2.frame:
+    # A run's agents share one frame object, so the combiners and approx_eq
+    # call this only for two frame objects.
+    if m1.frame != m2.frame:
         raise ValueError(f"frame mismatch: n={m1.frame.n} vs n={m2.frame.n}")
 
 
@@ -408,6 +419,10 @@ def _dubois_prade_arrays(f1: Mapping, f2: Mapping) -> dict[int, float]:
 def _from_products(frame: FrameOfDiscernment, raw: dict[int, float]) -> MassFunction:
     # Defensive rescale against rounding drift; exact zeros (underflow) dropped.
     # Products of two checked masses are finite and total 1 (for Dempster,
-    # 1 - K > EPS_CONFLICT), so the result needs no further check.
+    # 1 - K > EPS_CONFLICT), so the result needs no further check.  Built as
+    # ``_trusted`` builds, without its call: this runs once per combination.
     total = fsum(raw.values())
-    return MassFunction._trusted(frame, {a: v / total for a, v in raw.items() if v > 0.0})
+    m = object.__new__(MassFunction)
+    m.frame = frame
+    m.focal = {a: v / total for a, v in raw.items() if v > 0.0}
+    return m

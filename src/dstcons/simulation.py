@@ -14,7 +14,10 @@ goes through this module's names ``select_state``, ``evidence_mass``,
 caller that replaces one of these names (``bench/tracing.py``'s spans,
 ``bench/checks.py``'s combination sampler, a test double) sees every such
 update.  An agent certain of one state takes no combination: evidence for
-that state could not move it.
+that state could not move it.  It still makes the draws of an update, its
+unused uniform as one raw 64-bit word on PCG64 (the generator ``run``
+builds), which leaves the stream where ``random()`` would; on any other
+generator it calls ``random()``.
 
 Averaging keeps every agent on the singletons and the whole frame S, so its
 run holds each agent as the n + 1 floats ``[m({s_1}), ..., m({s_n}), m(S)]``
@@ -126,11 +129,15 @@ def evidence_step(
     certain of one state keeps its object when the operator is in
     ``CERTAINTY_PRESERVING``: it selects that state, and the update could not
     move it.  It makes the draws of the other agents (one uniform, one
-    normal) and calls nothing.
+    normal) and calls nothing.  Its uniform goes unused, so on PCG64 it is
+    drawn as one raw word (``bit_generator.random_raw()``), the one word
+    ``random()`` takes; any other generator draws it with ``random()``.
     """
     combine = get_combiner(config.operator)
     preserving = config.operator in CERTAINTY_PRESERVING
     random, normal = rng.random, rng.standard_normal
+    bits = rng.bit_generator
+    unused = bits.random_raw if type(bits) is np.random.PCG64 else random
     skips = 0
     gates = random(len(agents))
     quality = qualities.tolist()
@@ -141,7 +148,7 @@ def evidence_step(
             (subset,) = focal
             if not subset & (subset - 1) and focal[subset] == 1.0:
                 # select_state's one uniform, and the noise draw.
-                random()
+                unused()
                 normal()
                 continue
         i = select_state(m, rng)

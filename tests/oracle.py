@@ -8,10 +8,13 @@ check and the two-pass normalisation are second routes to what ``classify``,
 ``run`` and ``renormalize`` compute their own way, and the dense-loop
 Jacobian is the reference for the one ``numeric_jacobian`` sums from the
 library's product loops.  The evidence step without its shortcut for
-certain agents, with its own plain state selection, is the reference the
-shortcut is replayed against.  The bit-position pignistic loop is the
-reference for ``pignistic``'s cached member lists, and the generic pair
-loops are the references for the product loops' two-focal branch.
+certain agents, with its own plain state selection and every uniform drawn
+by ``random()``, is the reference the shortcut is replayed against, and the
+``min(max(...))`` clamp is the reference for the evidence mass's two
+comparisons.  The bit-position pignistic loop is the reference for
+``pignistic``'s cached member lists and whole singleton masses, and the
+generic pair loops are the references for the product loops' two-focal
+branch.
 ``run_reference`` runs the public steps on ``MassFunction`` agents: the
 reference for the float lists that ``run`` holds under averaging.
 """
@@ -274,6 +277,19 @@ def select_state_reference(m: MassFunction, rng: np.random.Generator) -> int:
             if u < cum:
                 return i + 1
     return last_positive
+
+
+def evidence_focal_reference(
+    frame: FrameOfDiscernment, singleton: int, q_i: float, epsilon: float
+) -> dict[int, float]:
+    """The evidence focal items by the ``min(max(...))`` clamp, with ``make_vacuous``
+    for a clamped 0: ``evidence._evidence_mass`` before it clamped by two comparisons."""
+    v = min(max(q_i + epsilon, 0.0), 1.0)
+    if v == 0.0:
+        return make_vacuous(frame).focal
+    if v == 1.0:
+        return {singleton: 1.0}
+    return {singleton: v, frame.full_set: 1.0 - v}
 
 
 def evidence_step_reference(

@@ -14,7 +14,7 @@ this file.  From the repository root:
     python tests/paired_replay.py OTHER_SRC
 
 It prints the number of identical runs and the first differences, and exits
-1 on any difference.  It takes about 50 s, or 25 s with DSTCONS_WORKERS=2.
+1 on any difference.  It takes about 20 s, or 10 s with DSTCONS_WORKERS=2.
 """
 
 import itertools

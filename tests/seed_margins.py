@@ -9,7 +9,7 @@ file.  From the repository root:
 
     DSTCONS_WORKERS=2 python tests/seed_margins.py [SEED ...]
 
-One seed takes about a minute with two workers.
+One seed takes about half a minute with two workers.
 """
 
 import sys

@@ -14,10 +14,11 @@ import os
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import suppress
 from dataclasses import asdict
 from importlib import import_module
-from itertools import chain
 from pathlib import Path
+from queue import Empty, SimpleQueue
 
 import numpy as np
 
@@ -213,29 +214,45 @@ CELLS = tuple(dict.fromkeys(c for check in CRITERIA for c in check.cells))
 def run_cells(cells, root_seed, setting=None, src=SRC, exact=False, **fields) -> dict:
     """Each cell's sweep at ``root_seed``, from child processes on ``src``'s ``dstcons``.
 
-    The cells are dealt in turn to ``resolve_workers()`` children.  Each sets
-    ``setting`` (``TOLERANCES`` name -> value) in its own process, so no result
-    depends on how processes start, then runs ``spec(cell, root_seed,
-    **fields)`` with ``run_sweep(workers=1)``.  A cell maps to a ``SweepResult``
-    rebuilt from JSON (floats round-trip through repr), or with ``exact`` to its
-    runs' ``RunResult`` fields: floats in hex, focal items in order.  A failed
-    child raises its stderr.
+    ``resolve_workers()`` children take the cells from one queue, each its
+    next cell when it has answered the last.  Each sets ``setting``
+    (``TOLERANCES`` name -> value) in its own process, so no result depends
+    on how processes start, then runs ``spec(cell, root_seed, **fields)`` with
+    ``run_sweep(workers=1)``.  A cell maps to a ``SweepResult`` rebuilt from
+    JSON (floats round-trip through repr), or with ``exact`` to its runs'
+    ``RunResult`` fields: floats in hex, focal items in order.  A failed child
+    raises its stderr.
     """
     cells = list(dict.fromkeys(cells))
-    workers = min(resolve_workers(), len(cells))
-    job = dict(root_seed=root_seed, setting=setting or {}, exact=exact, fields=fields)
+    todo = SimpleQueue()
+    for c in cells:
+        todo.put(c)
+    job = json.dumps(dict(root_seed=root_seed, setting=setting or {}, exact=exact, fields=fields))
     env = dict(os.environ, PYTHONPATH=str(src))
+    results = {}
 
-    def child(part):
-        done = subprocess.run([sys.executable, str(HERE)], input=json.dumps({**job, "cells": part}),
-                              capture_output=True, text=True, env=env)
-        if done.returncode:
-            raise RuntimeError(f"study child on {src} exited {done.returncode}:\n{done.stderr}")
-        return zip(part, map(json.loads, done.stdout.splitlines()))
+    def child():
+        with subprocess.Popen([sys.executable, str(HERE), job], stdin=subprocess.PIPE,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                              env=env) as proc:
+            with suppress(Empty, BrokenPipeError):
+                while True:
+                    c = todo.get_nowait()
+                    proc.stdin.write(json.dumps(c) + "\n")
+                    proc.stdin.flush()
+                    answer = proc.stdout.readline()
+                    if not answer:  # the child failed: its stderr says why
+                        break
+                    results[c] = json.loads(answer)
+            stderr = proc.communicate()[1]
+        if proc.returncode:
+            raise RuntimeError(f"study child on {src} exited {proc.returncode}:\n{stderr}")
 
+    workers = min(resolve_workers(), len(cells))
     with ThreadPoolExecutor(workers) as pool:
-        parts = pool.map(child, [cells[i::workers] for i in range(workers)])
-        results = dict(chain.from_iterable(parts))
+        for started in [pool.submit(child) for _ in range(workers)]:
+            started.result()
+    results = {c: results[c] for c in cells}
     if exact:
         return results
     return {
@@ -267,12 +284,13 @@ def _exact(result) -> dict:
 
 
 def _serve() -> None:
-    """The child side of ``run_cells``: its job on stdin, one JSON line per cell on stdout."""
-    job = json.load(sys.stdin)
+    """The child side of ``run_cells``: its job as the argument, then one cell
+    per line on stdin, answered by one JSON line on stdout."""
+    job = json.loads(sys.argv[1])
     for name, value in job["setting"].items():
         setattr(import_module("dstcons." + TOLERANCES[name]), name, value)
-    for c in job["cells"]:
-        sweep = run_sweep(spec(c, job["root_seed"], **job["fields"]), workers=1,
+    for line in sys.stdin:
+        sweep = run_sweep(spec(json.loads(line), job["root_seed"], **job["fields"]), workers=1,
                           keep_results=job["exact"])
         if job["exact"]:
             answer = [_exact(result) for _, _, result in sweep.results]

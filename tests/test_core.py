@@ -173,6 +173,20 @@ class TestPignistic:
                 # The second call reads every member list from the cache.
                 assert pignistic(m) == pignistic_reference(m) == pignistic(m)
 
+    @pytest.mark.parametrize("n", [2, 3, 8, 40])
+    def test_singletons_beside_wider_sets_match_the_reference_exactly(self, n):
+        # A singleton's mass is added whole, with no member list and no division.
+        rng = np.random.default_rng(n)
+        frame = FrameOfDiscernment(n)
+        singletons = [1 << j for j in range(n)]
+        wider = [a for a in random_subsets(rng, n, min(20, frame.full_set)) if a & (a - 1)]
+        for _ in range(20):
+            subsets = [*rng.permutation(singletons)[:3].tolist(),
+                       *rng.permutation(wider)[:3].tolist()]
+            rng.shuffle(subsets)
+            m = MassFunction(frame, _with_values(rng, subsets, "mass"))
+            assert pignistic(m) == pignistic_reference(m)
+
 
 class TestConflict:
     def test_disjoint_categoricals(self):
@@ -389,6 +403,26 @@ class TestApproxEq:
     def test_tolerates_dust(self):
         shifted = MassFunction(F3, {1: 0.5 + 1e-12, 7: 0.5 - 1e-12})
         assert approx_eq(shifted, HALF_S1, 1e-9)
+
+
+class TestFrameCheck:
+    """The binary functions compare frames by value; a shared frame object is
+    the run's case and skips the comparison."""
+
+    OPERATIONS = [get_combiner(op) for op in ("dempster", "dubois_prade", "yager", "average")]
+    OPERATIONS += [lambda m1, m2: approx_eq(m1, m2, 1e-9), conflict]
+
+    @pytest.mark.parametrize("operation", OPERATIONS)
+    def test_unequal_frame_is_refused(self, operation):
+        for m1, m2 in ((HALF_S1, make_vacuous(F2)), (make_vacuous(F2), HALF_S1)):
+            with pytest.raises(ValueError, match="frame mismatch: n=[23] vs n=[23]"):
+                operation(m1, m2)
+
+    @pytest.mark.parametrize("operation", OPERATIONS)
+    def test_equal_frame_held_as_another_object_is_accepted(self, operation):
+        other = MassFunction(FrameOfDiscernment(3), QUARTERS.focal)
+        assert other.frame is not QUARTERS.frame
+        assert operation(HALF_S1, other) == operation(HALF_S1, QUARTERS)
 
 
 # ---------------------------------------------------------------------------

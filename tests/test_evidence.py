@@ -15,7 +15,8 @@ from dstcons import (
     pignistic,
     select_state,
 )
-from oracle import select_state_reference
+from dstcons.evidence import _evidence_mass
+from oracle import evidence_focal_reference, select_state_reference
 
 F3 = FrameOfDiscernment(3)
 
@@ -70,6 +71,19 @@ class TestEvidenceMass:
     def test_rejects_non_integer_state(self):
         with pytest.raises(ValueError, match="state index must be an integer"):
             evidence_mass(F3, np.int64(3), 0.5)
+
+    # Values of q_i + epsilon at and around the clamp's edges: infinities,
+    # -0.0, the smallest subnormal, the largest double below 1.
+    EDGES = [float("-inf"), -0.5, -0.0, 0.0, 5e-324, 0.3, 1 - 2**-53, 1.0, 1.5, float("inf")]
+
+    @pytest.mark.parametrize("value", EDGES)
+    def test_clamp_matches_min_max_reference(self, value):
+        # value + -0.0 is value, bit for bit, -0.0 included.
+        expected = [(a, v.hex()) for a, v in
+                    evidence_focal_reference(F3, 4, value, -0.0).items()]
+        for m in (_evidence_mass(F3, 4, value, -0.0), evidence_mass(F3, 3, value, -0.0)):
+            assert [(a, v.hex()) for a, v in m.focal.items()] == expected
+            assert m.frame is F3
 
     def test_belief_equals_quality(self):
         for q in (0.1, 0.25, 0.5, 0.9):

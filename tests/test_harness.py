@@ -732,6 +732,18 @@ class TestCells:
         assert cells == sorted(cells, key=attrgetter("operator", "n", "r", "sigma",
                                                      "consensus_enabled"))
 
+    def test_cells_and_records_share_one_order(self):
+        # build_cells sorts configs and emit_csv sorts records by the same
+        # coordinates, both spelled by CELL_FIELDS.
+        spec = SweepSpec(operators=("yager", "dempster"), n_values=(3, 2), k=4,
+                         r_values=(0.5, 0.1), sigma_values=(0.1, 0.0), runs_per_cell=1,
+                         max_iterations=3, baselines=True)
+        cells = build_cells(spec)
+        records = run_sweep(spec, workers=1).records
+        assert [harness.CONFIG_KEY(c) for c in cells] == [harness.CELL_KEY(r) for r in records]
+        assert [harness.CELL_KEY(r) for r in records] == sorted(map(harness.CELL_KEY, records))
+        assert len(set(map(harness.CELL_KEY, records))) == 2 * 2 * 2 * 2 * 2
+
     def test_no_consensus_mode(self):
         spec = SweepSpec(operators=("yager",), consensus=False, k=1)
         assert spec.consensus_modes() == (False,)

@@ -1,11 +1,14 @@
 """Tests for the population dynamics: stepping, convergence, full runs."""
 
+import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import dstcons.evidence as evidence
+import dstcons.harness as harness
 import dstcons.mass as mass
 import dstcons.simulation as simulation
 from dstcons import (
@@ -13,6 +16,7 @@ from dstcons import (
     MassFunction,
     SimConfig,
     SweepSpec,
+    TotalConflictError,
     approx_eq,
     consensus_step,
     default_qualities,
@@ -625,6 +629,41 @@ class TestCertainAgentShortcut:
             )
             assert holds == (op in CERTAINTY_PRESERVING), op
 
+    @staticmethod
+    def _stream(rng):
+        """The bit generator's state as plain values that compare with ==."""
+        return json.dumps(rng.bit_generator.state, default=np.ndarray.tolist, sort_keys=True)
+
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937])
+    @pytest.mark.parametrize("op", sorted(CERTAINTY_PRESERVING))
+    def test_mixed_population_leaves_the_reference_stream(self, op, bit_generator):
+        # The reference draws a certain agent's uniform with random(); on
+        # PCG64 the step draws one raw word, on MT19937 it must call random().
+        frame = FrameOfDiscernment(3)
+        focal = [{1: 1.0}, {2: 1.0}, {4: 1.0}, {7: 1.0}, {1: 0.5, 7: 0.5},
+                 {2: 0.25, 6: 0.25, 7: 0.5}, {4: 1.0}, {3: 0.6, 4: 0.4}]
+        config = SimConfig(operator=op, k=len(focal), n=3, r=0.6, sigma=0.3)
+        qualities = default_qualities(3)
+        fast = [MassFunction(frame, f) for f in focal]
+        reference = fast.copy()
+        rngs = [np.random.Generator(bit_generator(5)) for _ in range(2)]
+        for _ in range(25):
+            assert (evidence_step(fast, qualities, config, rngs[0])
+                    == evidence_step_reference(reference, qualities, config, rngs[1]))
+            assert ([list(m.focal.items()) for m in fast]
+                    == [list(m.focal.items()) for m in reference])
+            assert self._stream(rngs[0]) == self._stream(rngs[1])
+        assert sum(m.focal in ({1: 1.0}, {2: 1.0}, {4: 1.0}) for m in fast) >= 3
+
+    def test_a_raw_word_is_random_on_pcg64_only(self):
+        # Why the step binds the raw draw on PCG64 alone: MT19937's random()
+        # takes two 32-bit words.
+        for bit_generator, same in ((np.random.PCG64, True), (np.random.MT19937, False)):
+            by_random, by_raw = (np.random.Generator(bit_generator(3)) for _ in range(2))
+            by_random.random()
+            by_raw.bit_generator.random_raw()
+            assert (self._stream(by_random) == self._stream(by_raw)) is same
+
     def test_paired_replay_against_evidence_step_without_shortcut(self, monkeypatch):
         current = replay_outcome()
         monkeypatch.setattr(simulation, "evidence_step", evidence_step_reference)
@@ -632,19 +671,70 @@ class TestCertainAgentShortcut:
 
 
 class TestUncheckedConstruction:
-    """Masses built from checked masses skip the constructor's checks, bit for bit."""
+    """Masses built from checked masses skip the constructor's checks, bit for bit.
+
+    Every mass that a run's combiners, ``evidence_mass`` and ``renormalize``
+    return is rebuilt by the checked constructor, whatever route built it.
+    Averaging runs as ``run_reference``, the public steps on mass functions,
+    whose outputs are its float lists' bit for bit (``TestAveragingFloatLists``).
+    """
+
+    NAMES = ("combine", "evidence_mass", "renormalize")
+
+    def _check_every_mass(self, monkeypatch):
+        """Patch the checks in; returns the per-(operator, name) counters of
+        calls, checked masses and total conflicts."""
+        operator = [None]
+        calls, checked, conflicts = Counter(), Counter(), Counter()
+
+        def checking(name, fn):
+            def rebuilt(*args):
+                key = (operator[0], name)
+                calls[key] += 1
+                try:
+                    m = fn(*args)
+                except TotalConflictError:
+                    conflicts[key] += 1
+                    raise
+                m = MassFunction(m.frame, m.focal)
+                checked[key] += 1
+                return m
+            return rebuilt
+
+        def running(config):
+            operator[0] = config.operator
+            return (run_reference if config.operator == "average" else run)(config)
+
+        lookup = simulation.get_combiner
+        monkeypatch.setattr(harness, "run", running)
+        monkeypatch.setattr(simulation, "get_combiner", lambda op: checking("combine", lookup(op)))
+        for name in self.NAMES[1:]:
+            monkeypatch.setattr(simulation, name, checking(name, getattr(simulation, name)))
+        return calls, checked, conflicts
 
     def test_paired_replay_with_every_mass_checked(self, monkeypatch):
         unchecked = replay_outcome()
-        built = []
-
-        def checked(frame, focal):
-            built.append(focal)
-            return MassFunction(frame, focal)
-
-        monkeypatch.setattr(MassFunction, "_trusted", checked)
+        calls, checked, conflicts = self._check_every_mass(monkeypatch)
         assert replay_outcome() == unchecked
-        assert built
+        assert checked + conflicts == calls
+        assert set(checked) == {(op, name) for op in COMBINERS for name in self.NAMES}
+
+    def test_a_broken_normalisation_is_caught(self, monkeypatch):
+        self._check_every_mass(monkeypatch)
+        build = mass._from_products
+        broken = []
+
+        def once_unnormalised(frame, raw):
+            m = build(frame, raw)
+            if not broken:
+                broken.append(m)
+                m.focal = {a: 2.0 * v for a, v in m.focal.items()}
+            return m
+
+        monkeypatch.setattr(mass, "_from_products", once_unnormalised)
+        with pytest.raises(ValueError, match="masses must total 1"):
+            replay_outcome()
+        assert len(broken) == 1
 
 
 class TestWideFrame:

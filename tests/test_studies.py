@@ -34,6 +34,17 @@ def test_child_sweep_equals_in_process_sweep():
     assert child.summaries == own.summaries
 
 
+def test_more_children_than_cpus_answer_every_cell_once(monkeypatch):
+    # Three children on a two-CPU box take seven cells from the one queue.
+    cells = [("yager", 3, r, 0.1, True, 1) for r in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7)]
+    monkeypatch.setenv("DSTCONS_WORKERS", "3")
+    children = studies.run_cells(cells, 3, k=5, max_iterations=20)
+    assert list(children) == cells
+    for c in cells:
+        own = run_sweep(studies.spec(c, 3, k=5, max_iterations=20), workers=1)
+        assert children[c].records == own.records
+
+
 def test_setting_reaches_the_child():
     own = run_sweep(studies.spec(CONV_CELL, 0, **CONV_FIELDS), workers=1)
     assert [rec.convergence_iteration for rec in own.records] == [None, None, 195, 175]
