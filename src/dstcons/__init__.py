@@ -7,7 +7,6 @@ from .fixedpoint import (
     dp_polynomial_map,
     numeric_jacobian,
     self_combine_residual,
-    spectral_radius_eig,
 )
 from .harness import (
     CellSummary,
@@ -19,7 +18,6 @@ from .harness import (
     preset_spec,
     reproduce,
     run_sweep,
-    summarize_convergence_time,
 )
 from .mass import (
     COMBINERS,
@@ -47,61 +45,8 @@ from .simulation import (
     EPS_CONV,
     RunResult,
     SimConfig,
-    consensus_step,
-    evidence_step,
-    population_mean_bel,
     population_means,
     run,
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CellSummary",
-    "COMBINERS",
-    "EPS_CONFLICT",
-    "EPS_CONV",
-    "EPS_NORM",
-    "EPS_PRUNE",
-    "FixedPointReport",
-    "FrameOfDiscernment",
-    "MassFunction",
-    "RunRecord",
-    "RunResult",
-    "SimConfig",
-    "SweepResult",
-    "SweepSpec",
-    "TotalConflictError",
-    "approx_eq",
-    "bel",
-    "classify",
-    "combine_average",
-    "combine_dempster",
-    "combine_dubois_prade",
-    "combine_yager",
-    "conflict",
-    "consensus_step",
-    "default_qualities",
-    "derive_seed",
-    "dp_polynomial_map",
-    "emit_csv",
-    "evidence_mass",
-    "evidence_step",
-    "format_mass",
-    "get_combiner",
-    "make_vacuous",
-    "numeric_jacobian",
-    "pignistic",
-    "pl",
-    "population_mean_bel",
-    "population_means",
-    "preset_spec",
-    "renormalize",
-    "reproduce",
-    "run",
-    "run_sweep",
-    "select_state",
-    "self_combine_residual",
-    "spectral_radius_eig",
-    "summarize_convergence_time",
-]

@@ -144,15 +144,10 @@ def numeric_jacobian(operator: str, m: MassFunction) -> np.ndarray:
     return jac
 
 
-def spectral_radius_eig(jac: np.ndarray) -> float:
-    """Largest eigenvalue magnitude via full eigendecomposition."""
-    return float(np.max(np.abs(np.linalg.eigvals(jac))))
-
-
 def classify(operator: str, m: MassFunction) -> FixedPointReport:
-    """Build the full report: residual, spectral radius, stability class."""
+    """Build the full report: residual, spectral radius (by eigendecomposition), stability class."""
     residual = self_combine_residual(operator, m)
-    rho = spectral_radius_eig(numeric_jacobian(operator, m))
+    rho = float(np.max(np.abs(np.linalg.eigvals(numeric_jacobian(operator, m)))))
     is_fixed = residual <= EPS_FIX
     if not is_fixed:
         classification = "not_fixed"

@@ -18,14 +18,15 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import suppress
 from dataclasses import dataclass, replace
 from itertools import product
+from math import fsum
 from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .mass import COMBINERS, check_count, get_combiner
-from .simulation import RunResult, SimConfig, population_mean_bel, population_means, run
+from .mass import COMBINERS, bel, check_count, get_combiner
+from .simulation import RunResult, SimConfig, population_means, run
 
 WORKERS_ENV_VAR = "DSTCONS_WORKERS"
 
@@ -66,9 +67,9 @@ class SweepSpec:
     """Grid definition for a Monte Carlo sweep."""
 
     operators: tuple[str, ...]
-    n_values: tuple[int, ...] = (3,)
+    n_values: tuple[int, ...] = (SimConfig.n,)
     k: int = SimConfig.k
-    r_values: tuple[float, ...] = (0.05,)
+    r_values: tuple[float, ...] = (SimConfig.r,)
     sigma_values: tuple[float, ...] = (0.1,)
     runs_per_cell: int = 30
     max_iterations: int = SimConfig.max_iterations
@@ -99,13 +100,6 @@ class SweepSpec:
                     raise ValueError(f"{name} has repeated values: {values}")
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-
-    def consensus_modes(self) -> tuple[bool, ...]:
-        if not self.consensus:
-            return (False,)
-        if self.baselines:
-            return (True, False)
-        return (True,)
 
 
 @dataclass(frozen=True)
@@ -205,11 +199,16 @@ def derive_seed(
 def build_cells(spec: SweepSpec) -> list[SimConfig]:
     """Every grid point as a run config at the root seed.
 
-    The configs are built in grid order, so a bad value is refused before the
-    sort compares it, then sorted by ``CONFIG_KEY``, the cell order.
+    The grid's cells run consensus; ``baselines`` adds their evidence-only
+    twins, and ``consensus=False`` keeps only those.  The configs are built in
+    grid order, so a bad value is refused before the sort compares it, then
+    sorted by ``CONFIG_KEY``, the cell order.
     """
-    axes = (spec.operators, spec.n_values, spec.r_values, spec.sigma_values,
-            spec.consensus_modes())
+    if not spec.consensus:
+        modes = (False,)
+    else:
+        modes = (True, False) if spec.baselines else (True,)
+    axes = (spec.operators, spec.n_values, spec.r_values, spec.sigma_values, modes)
     cells = [
         SimConfig(**dict(zip(CONFIG_FIELDS, point)), k=spec.k,
                   max_iterations=spec.max_iterations, seed=spec.root_seed,
@@ -295,40 +294,33 @@ def _make_record(run_index: int, result: RunResult) -> RunRecord:
         dempster_skips=result.dempster_skips,
         mean_bel=mean_bel,
         mean_pl_best=mean_pl_best,
-        mean_bel_top2=population_mean_bel(agents, top2),
+        mean_bel_top2=fsum(bel(m, top2) for m in agents) / len(agents),
     )
 
 
-def summarize_convergence_time(
-    records: Sequence[RunRecord],
-) -> tuple[float | None, float | None]:
-    """Mean/std iterations-to-stasis over converged runs; None when none converged.
-
-    Uses ``stasis_iteration`` (detection iteration minus the convergence
-    window) so the statistic measures how long the dynamics actually ran.
-    """
-    iters = [r.stasis_iteration for r in records if r.converged]
-    if not iters:
-        return None, None
-    arr = np.asarray(iters, dtype=float)
-    return float(arr.mean()), float(arr.std())
-
-
 def summarize_cell(records: Sequence[RunRecord]) -> CellSummary:
+    """Across-run statistics of one cell's records.
+
+    The convergence-time mean and std are over the converged runs'
+    ``stasis_iteration`` (detection iteration minus the convergence window),
+    so they measure how long the dynamics actually ran; both are None when no
+    run converged.
+    """
     labels = {attrgetter(*CELL_LABEL)(rec) for rec in records}
     if len(labels) != 1:
         raise ValueError(f"records must come from one cell, got {sorted(labels)}")
     best = np.array([rec.mean_bel[-1] for rec in records])
     top2 = np.array([rec.mean_bel_top2 for rec in records])
-    mean_conv, std_conv = summarize_convergence_time(records)
+    stasis = [rec.stasis_iteration for rec in records if rec.converged]
+    conv = np.asarray(stasis, dtype=float)
     return CellSummary(
         **dict(zip(CELL_LABEL, labels.pop())),
         runs=len(records),
         mean_bel_best=float(best.mean()),
         std_bel_best=float(best.std()),
         converged_fraction=sum(rec.converged for rec in records) / len(records),
-        mean_conv_iter=mean_conv,
-        std_conv_iter=std_conv,
+        mean_conv_iter=float(conv.mean()) if stasis else None,
+        std_conv_iter=float(conv.std()) if stasis else None,
         mean_bel_top2=float(top2.mean()),
     )
 
@@ -360,10 +352,6 @@ def _json_value(value, full_precision: bool = False):
     if full_precision:
         return float(value)
     return float(format(float(value), ".6g"))
-
-
-def _sibling(path: Path, tag: str) -> Path:
-    return path.with_name(path.stem + "_" + tag + path.suffix)
 
 
 def _check_format(fmt: str) -> None:
@@ -399,30 +387,29 @@ def _write_table(
 def emit_csv(
     summaries: Sequence[CellSummary],
     path: str | Path,
-    records: Sequence[RunRecord] | None = None,
+    records: Sequence[RunRecord],
     fmt: str = "csv",
 ) -> list[Path]:
-    """Write the per-cell summary table, plus the per-run sibling when given.
+    """Write the per-cell summary table and its per-run sibling ``<stem>_runs<suffix>``.
 
-    Rows are sorted by ``CELL_KEY`` (operator, n, r, sigma, consensus), floats
-    carry 6 significant digits, and ``fmt="json"`` writes the tables as JSON arrays.
+    Rows are sorted by ``CELL_KEY`` (operator, n, r, sigma, consensus), run
+    rows then by run index.  Summary floats carry 6 significant digits and run
+    floats full precision; ``fmt="json"`` writes the tables as JSON arrays.
+    Returns the two paths, summary first.
     """
     path = Path(path)
-    written = [path]
+    runs_path = path.with_name(path.stem + "_runs" + path.suffix)
     rows = [
         [getattr(s, col) for col in SUMMARY_COLUMNS]
         for s in sorted(summaries, key=CELL_KEY)
     ]
     _write_table(path, SUMMARY_COLUMNS, rows, fmt)
-    if records is not None:
-        runs_path = _sibling(path, "runs")
-        rows = [
-            ([getattr(rec, col) for col in RUN_COLUMNS], rec.mean_bel, [])
-            for rec in sorted(records, key=attrgetter(*CELL_FIELDS, "run_index"))
-        ]
-        _write_table(runs_path, *_state_table(RUN_COLUMNS, rows, ()), fmt, full_precision=True)
-        written.append(runs_path)
-    return written
+    rows = [
+        ([getattr(rec, col) for col in RUN_COLUMNS], rec.mean_bel, [])
+        for rec in sorted(records, key=attrgetter(*CELL_FIELDS, "run_index"))
+    ]
+    _write_table(runs_path, *_state_table(RUN_COLUMNS, rows, ()), fmt, full_precision=True)
+    return [path, runs_path]
 
 
 def _state_table(lead: Sequence[str], rows: list, tail: Sequence[str]) -> tuple[list, list]:
@@ -539,10 +526,8 @@ def parse_sweep_config(text: str) -> dict:
 
 
 def sweep_spec_from_config(text: str, overrides: dict | None = None) -> SweepSpec:
-    """Build a SweepSpec from config text plus optional override kwargs."""
-    values = parse_sweep_config(text)
-    if overrides:
-        values.update({k: v for k, v in overrides.items() if v is not None})
+    """Build a SweepSpec from config text plus override kwargs, which win; SweepSpec checks all."""
+    values = {**parse_sweep_config(text), **(overrides or {})}
     if "operators" not in values:
         raise ConfigError("config must name at least one operator (key 'operators')")
     try:

@@ -53,7 +53,6 @@ from .mass import (
     TotalConflictError,
     _normalize_floats,
     approx_eq,
-    bel,
     check_count,
     get_combiner,
     make_vacuous,
@@ -184,11 +183,6 @@ def consensus_step(
     except TotalConflictError:
         return 1
     return 0
-
-
-def population_mean_bel(agents: Sequence[MassFunction], subset: int) -> float:
-    """Population mean of Bel(subset)."""
-    return fsum(bel(m, subset) for m in agents) / len(agents)
 
 
 def population_means(agents: Sequence[MassFunction]) -> tuple[tuple[float, ...], float]:

@@ -8,13 +8,12 @@ check and the two-pass normalisation are second routes to what ``classify``,
 ``run`` and ``renormalize`` compute their own way, and the dense-loop
 Jacobian is the reference for the one ``numeric_jacobian`` sums from the
 library's product loops.  The evidence step without its shortcut for
-certain agents, with its own plain state selection and every uniform drawn
-by ``random()``, is the reference the shortcut is replayed against, and the
-``min(max(...))`` clamp is the reference for the evidence mass's two
-comparisons.  The bit-position pignistic loop is the reference for
-``pignistic``'s cached member lists and whole singleton masses, and the
-generic pair loops are the references for the product loops' two-focal
-branch.
+certain agents, with every uniform drawn by ``random()``, is the reference
+the shortcut is replayed against, and the ``min(max(...))`` clamp is the
+reference for the evidence mass's two comparisons.  The bit-position
+pignistic loop is the reference for ``pignistic``'s cached member lists and
+whole singleton masses, and the generic pair loops are the references for
+the product loops' two-focal branch.
 ``run_reference`` runs the public steps on ``MassFunction`` agents: the
 reference for the float lists that ``run`` holds under averaging.
 """
@@ -36,16 +35,15 @@ from dstcons import (
     SimConfig,
     TotalConflictError,
     approx_eq,
-    consensus_step,
     default_qualities,
     evidence_mass,
-    evidence_step,
     get_combiner,
     make_vacuous,
-    pignistic,
     population_means,
     renormalize,
+    select_state,
 )
+from dstcons.simulation import consensus_step, evidence_step
 
 
 def dense(m: MassFunction) -> np.ndarray:
@@ -264,21 +262,6 @@ def check_convergence(
     return True
 
 
-def select_state_reference(m: MassFunction, rng: np.random.Generator) -> int:
-    """Roulette-wheel selection by cumulative-sum inversion, with no fast path."""
-    probs = pignistic(m)
-    u = rng.random()
-    cum = 0.0
-    last_positive = 0
-    for i, p in enumerate(probs):
-        if p > 0.0:
-            last_positive = i + 1
-            cum += p
-            if u < cum:
-                return i + 1
-    return last_positive
-
-
 def evidence_focal_reference(
     frame: FrameOfDiscernment, singleton: int, q_i: float, epsilon: float
 ) -> dict[int, float]:
@@ -304,7 +287,7 @@ def evidence_step_reference(
     gates = rng.random(len(agents))
     for idx in np.flatnonzero(gates < config.r):
         m = agents[idx]
-        i = select_state_reference(m, rng)
+        i = select_state(m, rng)
         epsilon = float(rng.standard_normal()) * config.sigma
         ev = evidence_mass(m.frame, i, float(qualities[i - 1]), epsilon)
         try:

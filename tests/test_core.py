@@ -1,10 +1,14 @@
-"""Unit and property tests for mass functions and the combination operators."""
+"""Unit and property tests for mass functions and the combination operators,
+and the names the package exports."""
+
+from types import ModuleType
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dstcons
 from dstcons import (
     EPS_NORM,
     FrameOfDiscernment,
@@ -596,3 +600,30 @@ def test_evidence_masses_pass_the_public_checks(state, q, epsilon):
     n, i = state
     m = evidence_mass(FrameOfDiscernment(n), i, q, epsilon)
     assert MassFunction(m.frame, m.focal) == m
+
+
+# The names the benchmark imports from the package root.
+BENCH_ROOT_NAMES = {
+    "COMBINERS", "FrameOfDiscernment", "MassFunction", "SweepSpec", "TotalConflictError",
+    "classify", "derive_seed", "emit_csv", "evidence_mass", "get_combiner",
+    "numeric_jacobian", "renormalize", "run_sweep", "select_state",
+}
+# Every public name of the package root apart from its submodules: changing
+# the user API means changing this list.
+PUBLIC_NAMES = BENCH_ROOT_NAMES | {
+    "CellSummary", "EPS_CONFLICT", "EPS_CONV", "EPS_NORM", "EPS_PRUNE", "FixedPointReport",
+    "RunRecord", "RunResult", "SimConfig", "SweepResult", "approx_eq", "bel",
+    "combine_average", "combine_dempster", "combine_dubois_prade", "combine_yager",
+    "conflict", "default_qualities", "dp_polynomial_map", "format_mass", "make_vacuous",
+    "pignistic", "pl", "population_means", "preset_spec", "reproduce", "run",
+    "self_combine_residual",
+}
+
+
+def test_package_exports_exactly_the_user_api():
+    exported = {
+        name for name, value in vars(dstcons).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    }
+    assert exported == PUBLIC_NAMES
+    assert len(PUBLIC_NAMES) == 42

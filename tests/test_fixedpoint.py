@@ -20,7 +20,6 @@ from dstcons import (
     make_vacuous,
     numeric_jacobian,
     self_combine_residual,
-    spectral_radius_eig,
 )
 from dstcons.fixedpoint import MAX_JACOBIAN_STATES, _dense, _self_image
 from dstcons.mass import _conjunctive, _dubois_prade_products
@@ -202,11 +201,10 @@ class TestJacobian:
         m = _random_simplex_mass(rng, F3)
         jac = numeric_jacobian("average", m)
         np.testing.assert_allclose(jac, np.eye(6), atol=1e-9)
-        assert spectral_radius_eig(jac) == pytest.approx(1.0, abs=1e-9)
+        assert classify("average", m).spectral_radius == pytest.approx(1.0, abs=1e-9)
 
     def test_dubois_prade_vacuous_is_expanding(self):
-        jac = numeric_jacobian("dubois_prade", make_vacuous(F3))
-        assert spectral_radius_eig(jac) >= 1.0
+        assert classify("dubois_prade", make_vacuous(F3)).spectral_radius >= 1.0
 
     @pytest.mark.parametrize("op", ["dempster", "dubois_prade", "yager", "average"])
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -258,9 +256,8 @@ class TestSpectralRadiusTwoWays:
         ]
         for op in ("dempster", "dubois_prade", "yager", "average"):
             for m in points:
-                jac = numeric_jacobian(op, m)
-                assert spectral_radius_eig(jac) == pytest.approx(
-                    spectral_radius_power(jac), abs=1e-6
+                assert classify(op, m).spectral_radius == pytest.approx(
+                    spectral_radius_power(numeric_jacobian(op, m)), abs=1e-6
                 )
 
     def test_rotation_matrix_complex_pair(self):
@@ -273,7 +270,6 @@ class TestSpectralRadiusTwoWays:
     def test_nilpotent_matrix(self):
         nil = np.array([[0.0, 1.0], [0.0, 0.0]])
         assert spectral_radius_power(nil) == 0.0
-        assert spectral_radius_eig(nil) == 0.0
 
 
 class TestClassify:

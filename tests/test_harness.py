@@ -26,7 +26,6 @@ from dstcons import (
     reproduce,
     run,
     run_sweep,
-    summarize_convergence_time,
 )
 from dstcons.harness import (
     ALL_OPERATORS,
@@ -228,28 +227,50 @@ class TestEmission:
         ).read_text()
 
     def test_empty_summaries_yield_header_only(self, tmp_path):
-        (path,) = emit_csv([], tmp_path / "empty.csv")
+        path, runs_path = emit_csv([], tmp_path / "empty.csv", [])
         assert path.read_text() == (
             "operator,n,k,r,sigma,consensus,runs,mean_bel_best,std_bel_best,"
             "converged_fraction,mean_conv_iter,std_conv_iter\n"
         )
+        assert runs_path.name == "empty_runs.csv"
+        assert runs_path.read_text() == (
+            "operator,n,k,r,sigma,consensus,run_index,seed,converged,"
+            "convergence_iteration,stasis_iteration,dempster_skips,mean_pl_best,"
+            "mean_bel_top2\n"
+        )
 
     def test_rows_sorted_by_cell_key(self, tmp_path):
+        # Summaries and records are handed over in reverse, so only emit_csv's
+        # sort can put them back in CELL_KEY order (runs then by run index).
         spec = SweepSpec(
             operators=("yager", "average", "dempster"),
-            n_values=(3,),
+            n_values=(3, 2),
             k=4,
             r_values=(0.4,),
             sigma_values=(0.0,),
-            runs_per_cell=1,
+            runs_per_cell=2,
             max_iterations=40,
             root_seed=1,
+            baselines=True,
             convergence_window=10,
         )
         sweep = run_sweep(spec)
-        (path,) = emit_csv(sweep.summaries, tmp_path / "sorted.csv")
-        operators = [line.split(",")[0] for line in path.read_text().splitlines()[1:]]
-        assert operators == sorted(operators)
+        path, runs_path = emit_csv(
+            sweep.summaries[::-1], tmp_path / "sorted.csv", sweep.records[::-1]
+        )
+
+        def keys(table, extra=()):
+            with table.open() as fh:
+                return [
+                    (row["operator"], int(row["n"]), float(row["r"]), float(row["sigma"]),
+                     row["consensus"] == "true", *(int(row[col]) for col in extra))
+                    for row in csv.DictReader(fh)
+                ]
+
+        run_key = attrgetter(*harness.CELL_FIELDS, "run_index")
+        assert keys(path) == sorted(map(harness.CELL_KEY, sweep.summaries))
+        assert keys(runs_path, ("run_index",)) == sorted(map(run_key, sweep.records))
+        assert len(set(keys(runs_path, ("run_index",)))) == 3 * 2 * 2 * 2
 
     def test_json_mirror_contains_same_rows(self, tmp_path):
         sweep = run_sweep(GOLDEN_SPEC)
@@ -273,7 +294,7 @@ class TestEmission:
 
     def test_rejects_unknown_format(self, tmp_path):
         with pytest.raises(ConfigError):
-            emit_csv([], tmp_path / "x.csv", fmt="yaml")
+            emit_csv([], tmp_path / "x.csv", [], fmt="yaml")
 
     def test_trajectory_rejects_unknown_format(self, tmp_path):
         path = tmp_path / "out" / "t.xml"
@@ -401,21 +422,19 @@ class TestConvergenceTimeSummary:
         )
 
     def test_absent_when_nothing_converged(self):
-        mean, std = summarize_convergence_time(
-            [self._record(False, None), self._record(False, None)]
-        )
-        assert mean is None and std is None
+        summary = summarize_cell([self._record(False, None), self._record(False, None)])
+        assert summary.mean_conv_iter is None and summary.std_conv_iter is None
 
     def test_only_converged_runs_counted(self):
-        mean, std = summarize_convergence_time(
+        summary = summarize_cell(
             [
                 self._record(True, 100),
                 self._record(True, 300),
                 self._record(False, None),
             ]
         )
-        assert mean == pytest.approx(200.0)
-        assert std == pytest.approx(100.0)
+        assert summary.mean_conv_iter == pytest.approx(200.0)
+        assert summary.std_conv_iter == pytest.approx(100.0)
 
     def test_statistics_measure_time_to_stasis(self):
         # A run that never changes detects convergence at the window length
@@ -548,7 +567,7 @@ baselines = true
         assert spec.r_values == (0.02, 0.05, 0.1)
         assert spec.k == 50
         assert spec.baselines is True
-        assert spec.consensus_modes() == (True, False)
+        assert {cell.consensus_enabled for cell in build_cells(spec)} == {True, False}
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -575,12 +594,15 @@ baselines = true
             sweep_spec_from_config("operators = yager\nr_values = 1.5\n")
 
     def test_overrides_take_precedence(self):
-        spec = sweep_spec_from_config(
-            self.CONFIG, {"k": 10, "r_values": (0.5,), "runs_per_cell": None}
-        )
+        spec = sweep_spec_from_config(self.CONFIG, {"k": 10, "r_values": (0.5,)})
         assert spec.k == 10
         assert spec.r_values == (0.5,)
-        assert spec.runs_per_cell == 4  # None overrides are ignored
+        assert spec.runs_per_cell == 4  # keys not overridden keep the config value
+
+    @pytest.mark.parametrize("key", ["runs_per_cell", "r_values", "operators", "baselines"])
+    def test_none_override_refused(self, key):
+        with pytest.raises(ConfigError, match=key):
+            sweep_spec_from_config(self.CONFIG, {key: None})
 
     def test_operators_required(self):
         with pytest.raises(ConfigError):
@@ -746,7 +768,7 @@ class TestCells:
 
     def test_no_consensus_mode(self):
         spec = SweepSpec(operators=("yager",), consensus=False, k=1)
-        assert spec.consensus_modes() == (False,)
+        assert [cell.consensus_enabled for cell in build_cells(spec)] == [False]
 
 
 class TestWorkers:
@@ -831,6 +853,10 @@ class TestPresets:
         assert spec.baselines
         assert min(spec.r_values) == 0.0005
         assert max(spec.r_values) == 1.0
+
+    def test_fig1_is_the_headline_cell(self):
+        spec = preset_spec("fig1")
+        assert (spec.n_values, spec.r_values, spec.sigma_values) == ((3,), (0.05,), (0.1,))
 
     def test_fig5_scales_states(self):
         spec = preset_spec("fig5")

@@ -18,20 +18,19 @@ from dstcons import (
     SweepSpec,
     TotalConflictError,
     approx_eq,
-    consensus_step,
+    bel,
     default_qualities,
     evidence_mass,
-    evidence_step,
     get_combiner,
     make_vacuous,
     pignistic,
     pl,
-    population_mean_bel,
     renormalize,
     run,
     run_sweep,
 )
 from dstcons.mass import CERTAINTY_PRESERVING, COMBINERS
+from dstcons.simulation import consensus_step, evidence_step
 from oracle import (
     check_convergence,
     conjunctive_reference,
@@ -411,7 +410,7 @@ class TestRun:
         assert result.converged
         for j in range(1, 4):
             subset = F3.singleton(j)
-            mean_bel = population_mean_bel(result.steady_state, subset)
+            mean_bel = np.mean([bel(m, subset) for m in result.steady_state])
             mean_pl = np.mean([pl(m, subset) for m in result.steady_state])
             assert mean_bel == pytest.approx(mean_pl, abs=1e-6)
 
