@@ -28,8 +28,17 @@ from .mass import (
 
 EPS_FIX = 1e-10
 DELTA_STAB = 1e-3
-# Largest frame for the (2^n - 2)^2 Jacobian (128 MB at n = 12) and its eigvals.
+# Largest frame for the (2^n - 2)^2 Jacobian (128 MB at n = 12, and about 1 MB
+# of scratch) and its eigvals.
 MAX_JACOBIAN_STATES = 12
+# The Jacobian's scratch, in rows of its matrix, so that it shrinks against the
+# matrix as n grows (about a tenth of it at n = 9): entries gathered from the
+# product loops wait in Python lists (about 70 bytes an entry, against the
+# matrix's 8) until they fill _PENDING_ROWS rows, and Dempster's quotient-rule
+# term is added _DEMPSTER_ROWS rows at a time (numpy's broadcast takes twice
+# the block).
+_PENDING_ROWS = 4
+_DEMPSTER_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -117,6 +126,11 @@ def numeric_jacobian(operator: str, m: MassFunction) -> np.ndarray:
     is the identity.  Size is ``(2^n - 2) x (2^n - 2)``, so ``n`` is capped at
     ``MAX_JACOBIAN_STATES``.  An unknown operator name is refused.  The
     result is analytic; the name ``numeric_jacobian`` is kept for its callers.
+
+    The columns' products are written into one zeroed matrix by fancy
+    assignment (a batch per ``_PENDING_ROWS`` rows' worth of entries) and
+    doubled in place, so each entry has the bits a dense column doubled and
+    copied in would give it.
     """
     get_combiner(operator)
     n = m.frame.n
@@ -128,19 +142,40 @@ def numeric_jacobian(operator: str, m: MassFunction) -> np.ndarray:
     if operator == "average":
         return np.eye(full - 1)
     focal = m.focal
-    if operator == "dempster":
-        image, k = _self_image(focal, full)
-    jac = np.empty((full - 1, full - 1))
+    # Rows by subset bitmask; rows 0 (the empty set) and full are sliced off.
+    matrix = np.zeros((full + 1, full - 1))
+    rows: list[int] = []
+    cols: list[int] = []
+    values: list[float] = []
+    dks = []  # dK per column: Dempster's quotient rule reads it
+    pending = _PENDING_ROWS * full
     for j in range(1, full):
         direction = {j: 1.0, full: -1.0}
         if operator == "dubois_prade":
-            raw, dk = _dubois_prade_products(focal, direction), 0.0
+            raw = _dubois_prade_products(focal, direction)
         else:
             raw, dk = _conjunctive(focal, direction)
-        column = 2.0 * _dense(raw, full)[1:full]
-        if operator == "dempster":
-            column = (column + 2.0 * dk * image[1:full]) / (1.0 - k)
-        jac[:, j - 1] = column
+            dks.append(dk)
+        rows += raw
+        cols += [j - 1] * len(raw)
+        values += raw.values()
+        if len(rows) >= pending:
+            matrix[rows, cols] = values
+            rows, cols, values = [], [], []
+    matrix[rows, cols] = values
+    del rows, cols, values  # freed before Dempster's blocks add to the peak
+    jac = matrix[1:full]
+    jac *= 2.0
+    if operator == "dempster":
+        # The quotient rule per entry, (2 raw + (2 dK) image) / (1 - K), with
+        # its roundings in that order.
+        image, k = _self_image(focal, full)
+        image = image[1:full]
+        scale = 2.0 * np.array(dks)
+        for start in range(0, full - 1, _DEMPSTER_ROWS):
+            block = slice(start, start + _DEMPSTER_ROWS)
+            jac[block] += np.multiply.outer(image[block], scale)
+        jac /= 1.0 - k
     return jac
 
 

@@ -249,9 +249,9 @@ COMBINERS = {
 # The rules under which evidence for s_i leaves an agent holding {s_i}: 1.0
 # exactly as it was.  Both evidence focal sets ({s_i} and the frame) contain
 # s_i, so every product lands on {s_i} and K = 0; _from_products then divides
-# that one entry x by fsum([x]) == x, which is exactly 1.0, for any clamped,
-# zero, full or subnormal evidence mass.  Averaging moves such an agent
-# towards the evidence, so it is not one of them.
+# that one entry x by fsum([x]) == x, or keeps it when x is 1.0, which leaves
+# exactly 1.0 for any clamped, zero, full or subnormal evidence mass.
+# Averaging moves such an agent towards the evidence, so it is not one of them.
 CERTAINTY_PRESERVING = frozenset({"dempster", "dubois_prade", "yager"})
 
 
@@ -282,12 +282,14 @@ def _normalize_floats(raw: list[float]) -> list[float]:
     """``renormalize(_from_products(...))`` on masses held as a list, 0.0 for absent.
 
     The same divisions by the same ``fsum`` totals, so every entry has the
-    bits the dict path gives it.  An exact 0.0 stays 0.0 (the dict path drops
-    it); when a positive entry is below ``EPS_PRUNE``, every such entry becomes
-    0.0 and the rest are rescaled once more.
+    bits the dict path gives it; a total of exactly 1.0 returns ``raw`` itself,
+    which the caller must not mutate.  An exact 0.0 stays 0.0 (the dict path
+    drops it); when a positive entry is below ``EPS_PRUNE``, every such entry
+    becomes 0.0 and the rest are rescaled once more.
     """
     total = fsum(raw)
-    out = [v / total for v in raw]
+    # v / 1.0 == v for every float, so a total of exactly 1.0 keeps the list.
+    out = raw if total == 1.0 else [v / total for v in raw]
     if min(filter(None, out)) >= EPS_PRUNE:
         return out
     kept = [v if v >= EPS_PRUNE else 0.0 for v in out]
@@ -419,10 +421,16 @@ def _dubois_prade_arrays(f1: Mapping, f2: Mapping) -> dict[int, float]:
 def _from_products(frame: FrameOfDiscernment, raw: dict[int, float]) -> MassFunction:
     # Defensive rescale against rounding drift; exact zeros (underflow) dropped.
     # Products of two checked masses are finite and total 1 (for Dempster,
-    # 1 - K > EPS_CONFLICT), so the result needs no further check.  Built as
-    # ``_trusted`` builds, without its call: this runs once per combination.
+    # 1 - K > EPS_CONFLICT), so the result needs no further check.  A total of
+    # exactly 1.0 with no zero entry keeps ``raw`` as the focal dict, since
+    # v / 1.0 == v for every float: each combiner hands over a fresh dict that
+    # nothing else holds.  Built as ``_trusted`` builds, without its call: this
+    # runs once per combination.
     total = fsum(raw.values())
     m = object.__new__(MassFunction)
     m.frame = frame
-    m.focal = {a: v / total for a, v in raw.items() if v > 0.0}
+    if total == 1.0 and min(raw.values()) > 0.0:
+        m.focal = raw
+    else:
+        m.focal = {a: v / total for a, v in raw.items() if v > 0.0}
     return m

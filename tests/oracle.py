@@ -13,7 +13,11 @@ the shortcut is replayed against, and the ``min(max(...))`` clamp is the
 reference for the evidence mass's two comparisons.  The bit-position
 pignistic loop is the reference for ``pignistic``'s cached member lists and
 whole singleton masses, and the generic pair loops are the references for
-the product loops' two-focal branch.
+the product loops' two-focal branch.  The rescales that divide by every
+total, 1.0 included, are the references for ``_from_products`` and
+``_normalize_floats``, which keep their input when it totals exactly 1.0,
+and the column-by-column Jacobian is the reference for the one-pass
+assembly of ``numeric_jacobian``.
 ``run_reference`` runs the public steps on ``MassFunction`` agents: the
 reference for the float lists that ``run`` holds under averaging.
 """
@@ -43,6 +47,8 @@ from dstcons import (
     renormalize,
     select_state,
 )
+from dstcons.fixedpoint import _dense, _self_image
+from dstcons.mass import _conjunctive, _dubois_prade_products
 from dstcons.simulation import consensus_step, evidence_step
 
 
@@ -121,6 +127,30 @@ def jacobian_exact(op: str, m: MassFunction) -> np.ndarray:
         else:
             col = combine_dense(op, x, d, n) + combine_dense(op, d, x, n)
         jac[:, j - 1] = col[1:full]
+    return jac
+
+
+def jacobian_by_columns(op: str, m: MassFunction) -> np.ndarray:
+    """``numeric_jacobian`` built column by column: each column a fresh dense
+    vector of the product loop's raw entries, doubled, with Dempster's quotient
+    rule applied to it, then copied into the matrix."""
+    full = m.frame.full_set
+    if op == "average":
+        return np.eye(full - 1)
+    focal = m.focal
+    if op == "dempster":
+        image, k = _self_image(focal, full)
+    jac = np.empty((full - 1, full - 1))
+    for j in range(1, full):
+        direction = {j: 1.0, full: -1.0}
+        if op == "dubois_prade":
+            raw, dk = _dubois_prade_products(focal, direction), 0.0
+        else:
+            raw, dk = _conjunctive(focal, direction)
+        column = 2.0 * _dense(raw, full)[1:full]
+        if op == "dempster":
+            column = (column + 2.0 * dk * image[1:full]) / (1.0 - k)
+        jac[:, j - 1] = column
     return jac
 
 
@@ -230,6 +260,23 @@ def spectral_radius_power(jac: np.ndarray, max_squarings: int = 64) -> float:
         if abs(estimate - previous) <= 1e-13 * max(1.0, estimate):
             break
     return estimate
+
+
+def from_products_reference(frame: FrameOfDiscernment, raw: dict[int, float]) -> MassFunction:
+    """``mass._from_products`` dividing every entry by the total, 1.0 included."""
+    total = fsum(raw.values())
+    return MassFunction._trusted(frame, {a: v / total for a, v in raw.items() if v > 0.0})
+
+
+def normalize_floats_reference(raw: list[float]) -> list[float]:
+    """``mass._normalize_floats`` dividing every entry by the total, 1.0 included."""
+    total = fsum(raw)
+    out = [v / total for v in raw]
+    if min(filter(None, out)) >= EPS_PRUNE:
+        return out
+    kept = [v if v >= EPS_PRUNE else 0.0 for v in out]
+    total = fsum(kept)
+    return [v / total for v in kept]
 
 
 def renormalize_reference(m: MassFunction) -> MassFunction:

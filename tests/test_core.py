@@ -1,6 +1,7 @@
 """Unit and property tests for mass functions and the combination operators,
 and the names the package exports."""
 
+from math import fsum
 from types import ModuleType
 
 import numpy as np
@@ -37,6 +38,8 @@ from oracle import (
     conjunctive_reference,
     dense,
     dubois_prade_loop_reference,
+    from_products_reference,
+    normalize_floats_reference,
     pignistic_reference,
     random_mass,
     random_subsets,
@@ -600,6 +603,103 @@ def test_evidence_masses_pass_the_public_checks(state, q, epsilon):
     n, i = state
     m = evidence_mass(FrameOfDiscernment(n), i, q, epsilon)
     assert MassFunction(m.frame, m.focal) == m
+
+
+# ---------------------------------------------------------------------------
+# The rescale by an exact 1.0 is skipped, bit for bit
+# ---------------------------------------------------------------------------
+
+F4 = FrameOfDiscernment(4)
+
+
+@st.composite
+def product_values(draw):
+    """Nonnegative floats as a combiner hands them to the rescale: dyadic
+    shares that total exactly 1.0, floats divided by their sum (a total within
+    an ulp or two of 1.0), or any floats; then, as drawn, a dust entry below
+    ``EPS_PRUNE`` and an underflowed 0.0, each at a drawn position."""
+    kind = draw(st.sampled_from(["exact", "near", "any"]))
+    if kind == "exact":
+        counts = draw(st.lists(st.integers(1, 2**20), min_size=1, max_size=10))
+        scale = 1 << sum(counts).bit_length()
+        values = [c / scale for c in [*counts, scale - sum(counts)]]
+        assert fsum(values) == 1.0
+    else:
+        values = draw(st.lists(st.floats(1e-300, 2.0), min_size=1, max_size=11))
+        if kind == "near":
+            total = sum(values)
+            values = [v / total for v in values]
+    for entry in (st.floats(1e-300, mass.EPS_PRUNE, exclude_max=True), st.just(0.0)):
+        if draw(st.booleans()):
+            values.insert(draw(st.integers(0, len(values))), draw(entry))
+    return values
+
+
+@settings(max_examples=300, deadline=None)
+@given(product_values(), st.data())
+def test_from_products_matches_the_always_divide_rescale(values, data):
+    keys = data.draw(st.permutations(range(1, F4.full_set + 1)))[:len(values)]
+    raw = dict(zip(keys, values))
+    expected = from_products_reference(F4, dict(raw)).focal
+    assert list(mass._from_products(F4, raw).focal.items()) == list(expected.items())
+
+
+@settings(max_examples=300, deadline=None)
+@given(product_values())
+def test_normalize_floats_matches_the_always_divide_rescale(values):
+    given_values = list(values)
+    assert mass._normalize_floats(values) == normalize_floats_reference(given_values)
+    assert values == given_values
+
+
+@settings(max_examples=150, deadline=None)
+@given(mass_pairs())
+def test_results_share_no_dict_with_an_operand(pair):
+    m1, m2 = pair
+    for a, b in ((m1, m2), (m1, m1)):
+        before = list(a.focal.items()), list(b.focal.items())
+        for op in ALL_COMBINERS:
+            out = _combine_or_skip(op, a, b)
+            if out is not None:
+                assert out.focal is not a.focal and out.focal is not b.focal
+        assert (list(a.focal.items()), list(b.focal.items())) == before
+
+
+class TestIdentityRescale:
+    """A total of exactly 1.0 keeps the products' own dict or list."""
+
+    @pytest.mark.parametrize("op", ALL_COMBINERS)
+    @pytest.mark.parametrize("pair", [(CAT_S1, HALF_S1), (QUARTERS, QUARTERS)])
+    def test_exact_total_keeps_the_products_dict(self, op, pair, monkeypatch):
+        # Dyadic masses: every product total is exactly 1.0 but Dempster's
+        # 1 - K = 0.875 for the quarters.
+        build = mass._from_products
+        kept = []
+
+        def watching(frame, raw):
+            m = build(frame, raw)
+            kept.append(m.focal is raw)
+            return m
+
+        monkeypatch.setattr(mass, "_from_products", watching)
+        before = [dict(m.focal) for m in pair]
+        out = get_combiner(op)(*pair)
+        assert kept == [pair[0] is CAT_S1 or op != "dempster"]
+        assert out.focal is not pair[0].focal and out.focal is not pair[1].focal
+        assert [m.focal for m in pair] == before
+
+    def test_a_zero_entry_is_divided_out(self):
+        raw = {1: 0.5, 2: 0.0, 7: 0.5}
+        out = mass._from_products(F3, raw)
+        assert out.focal == {1: 0.5, 7: 0.5} and out.focal is not raw
+
+    def test_an_exact_list_is_returned_as_it_is(self):
+        raw = [0.25, 0.0, 0.75]
+        assert mass._normalize_floats(raw) is raw
+        # Exactly 1.0 before the dust is pruned, so only the second rescale divides.
+        dusty = [0.5, 2.0 ** -50, 0.5 - 2.0 ** -50]
+        out = mass._normalize_floats(dusty)
+        assert out[1] == 0.0 and out == normalize_floats_reference(dusty)
 
 
 # The names the benchmark imports from the package root.

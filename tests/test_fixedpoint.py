@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,9 +22,16 @@ from dstcons import (
     numeric_jacobian,
     self_combine_residual,
 )
+from dstcons import mass
 from dstcons.fixedpoint import MAX_JACOBIAN_STATES, _dense, _self_image
 from dstcons.mass import _conjunctive, _dubois_prade_products
-from oracle import combine_dense, jacobian_exact, random_mass, spectral_radius_power
+from oracle import (
+    combine_dense,
+    jacobian_by_columns,
+    jacobian_exact,
+    random_mass,
+    spectral_radius_power,
+)
 
 F3 = FrameOfDiscernment(3)
 
@@ -243,6 +251,52 @@ class TestJacobian:
         frame = FrameOfDiscernment(MAX_JACOBIAN_STATES + 1)
         with pytest.raises(ValueError, match=f"at most {MAX_JACOBIAN_STATES} states"):
             numeric_jacobian("average", make_vacuous(frame))
+
+
+class TestJacobianAssembly:
+    """``numeric_jacobian`` writes every column's products into one matrix, to
+    the bits of the column-by-column build (``oracle.jacobian_by_columns``);
+    ``tobytes`` tells signed zeros apart."""
+
+    @staticmethod
+    def _assert_same_bits(op, m):
+        assert numeric_jacobian(op, m).tobytes() == jacobian_by_columns(op, m).tobytes()
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_random_masses(self, n):
+        frame = FrameOfDiscernment(n)
+        rng = np.random.default_rng(40 + n)
+        points = [random_mass(rng, frame, max_focal) for max_focal in (1, 2, 5, None, None)]
+        for op in sorted(COMBINERS):
+            for m in points:
+                self._assert_same_bits(op, m)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_cli_candidates(self, n):
+        for op in sorted(COMBINERS):
+            for m in cli_candidates(FrameOfDiscernment(n)):
+                self._assert_same_bits(op, m)
+
+    def test_dubois_prade_array_kernel(self):
+        # 255 focal sets against a two-focal direction: 510 pairs, the kernel's path.
+        m = random_mass(np.random.default_rng(8), FrameOfDiscernment(8))
+        assert len(m.focal) * 2 >= mass._DP_ARRAY_MIN_PAIRS
+        self._assert_same_bits("dubois_prade", m)
+
+    def test_dempster_peak_memory_at_n9(self):
+        # The matrix, plus scratch of about a tenth of it, also for a mass on
+        # every subset, whose columns hold every subset's product.
+        frame = FrameOfDiscernment(9)
+        matrix_bytes = (frame.full_set - 1) ** 2 * 8
+        dense_mass = random_mass(np.random.default_rng(9), frame)
+        for m in (make_vacuous(frame), cli_candidates(frame)[0], dense_mass):
+            tracemalloc.start()
+            try:
+                numeric_jacobian("dempster", m)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.2 * matrix_bytes
 
 
 class TestSpectralRadiusTwoWays:

@@ -35,6 +35,8 @@ from oracle import (
     check_convergence,
     conjunctive_reference,
     evidence_step_reference,
+    from_products_reference,
+    normalize_floats_reference,
     pignistic_reference,
     renormalize_reference,
     run_reference,
@@ -478,6 +480,33 @@ class TestSingleNormalisation:
             for x, y in zip(a.steady_state, b.steady_state):
                 assert x.focal.keys() == y.focal.keys()
                 assert approx_eq(x, y, 1e-14)
+
+    def test_paired_replay_against_the_always_divide_rescale(self, monkeypatch):
+        # _from_products and _normalize_floats keep products that total
+        # exactly 1.0 as they are; the references divide them by that 1.0.
+        def outcome():
+            grid = [run(config) for config in TestAveragingFloatLists.CONFIGS]
+            return replay_outcome(), [
+                (r.convergence_iteration, r.trajectory_iterations.tobytes(),
+                 r.trajectory_bel.tobytes(), r.trajectory_pl_best.tobytes(), focal_items(r))
+                for r in grid]
+
+        exact = Counter()
+
+        def dividing_products(frame, raw):
+            exact["dict"] += math.fsum(raw.values()) == 1.0
+            return from_products_reference(frame, raw)
+
+        def dividing_floats(raw):
+            exact["list"] += math.fsum(raw) == 1.0
+            return normalize_floats_reference(raw)
+
+        current = outcome()
+        monkeypatch.setattr(mass, "_from_products", dividing_products)
+        for module in (mass, simulation):
+            monkeypatch.setattr(module, "_normalize_floats", dividing_floats)
+        assert outcome() == current
+        assert exact["dict"] and exact["list"]
 
     def test_paired_replay_against_the_dubois_prade_dict_loop(self, monkeypatch):
         # Seed 5 is the n=5 run that reaches the array path; seeds 0 and 5 at
