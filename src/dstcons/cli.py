@@ -46,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--noise", dest="sigma", type=float, metavar="SIGMA")
     p_run.add_argument("--seed", type=int)
     p_run.add_argument("--max-iterations", type=int)
-    p_run.add_argument("--no-consensus", dest="consensus_enabled", action="store_false",
+    p_run.add_argument("--no-consensus", dest="consensus", action="store_false",
                        help="evidence-only baseline (no pairwise combination)")
     p_run.add_argument("--stride", dest="trajectory_stride", type=int, default=1,
                        metavar="STRIDE",

@@ -181,8 +181,9 @@ def numeric_jacobian(operator: str, m: MassFunction) -> np.ndarray:
 
 def classify(operator: str, m: MassFunction) -> FixedPointReport:
     """Build the full report: residual, spectral radius (by eigendecomposition), stability class."""
-    residual = self_combine_residual(operator, m)
+    # The Jacobian first: it refuses n > MAX_JACOBIAN_STATES before m (+) m is paid for.
     rho = float(np.max(np.abs(np.linalg.eigvals(numeric_jacobian(operator, m)))))
+    residual = self_combine_residual(operator, m)
     is_fixed = residual <= EPS_FIX
     if not is_fixed:
         classification = "not_fixed"

@@ -1,6 +1,6 @@
 """Seeded Monte Carlo sweeps over the consensus dynamics, with CSV/JSON output.
 
-A sweep is a grid over (operator, n, r, sigma, consensus-enabled).  Every run
+A sweep is a grid over (operator, n, r, sigma, consensus).  Every run
 gets its own seed derived from the root seed and the cell/run indices, so
 results are reproducible run-by-run and independent of worker count; adding
 grid points never perturbs existing cells.  Aggregation is a deterministic
@@ -33,13 +33,10 @@ WORKERS_ENV_VAR = "DSTCONS_WORKERS"
 # Stable operator identifiers used in seed derivation; never reorder.
 OPERATOR_IDS = {"dempster": 0, "dubois_prade": 1, "yager": 2, "average": 3}
 
-# The grid coordinates of a cell; cells, summaries and runs are ordered by them.
+# The grid coordinates of a cell, all SimConfig fields; cells, summaries and
+# runs are ordered by them.
 CELL_FIELDS = ("operator", "n", "r", "sigma", "consensus")
 CELL_KEY = attrgetter(*CELL_FIELDS)
-# The same coordinates as SimConfig fields: a cell's consensus is its runs'
-# consensus_enabled.
-CONFIG_FIELDS = tuple("consensus_enabled" if f == "consensus" else f for f in CELL_FIELDS)
-CONFIG_KEY = attrgetter(*CONFIG_FIELDS)
 # What a cell's records share and its summary carries: the grid point and k.
 CELL_LABEL = CELL_FIELDS + ("k",)
 
@@ -93,6 +90,9 @@ class SweepSpec:
             for name in ("baselines", "consensus"):
                 if not isinstance(value := getattr(self, name), bool):
                     raise ValueError(f"{name} must be a bool, got {value!r}")
+            if self.baselines and not self.consensus:
+                raise ValueError("baselines=True adds evidence-only twins of consensus cells,"
+                                 " so it needs consensus=True; got consensus=False")
             # SimConfig checks every run parameter before the repeat check hashes them.
             build_cells(self)
             for name in grid_fields:
@@ -200,29 +200,26 @@ def build_cells(spec: SweepSpec) -> list[SimConfig]:
     """Every grid point as a run config at the root seed.
 
     The grid's cells run consensus; ``baselines`` adds their evidence-only
-    twins, and ``consensus=False`` keeps only those.  The configs are built in
+    twins, and ``consensus=False`` runs only those.  The configs are built in
     grid order, so a bad value is refused before the sort compares it, then
-    sorted by ``CONFIG_KEY``, the cell order.
+    sorted by ``CELL_KEY``, the cell order.
     """
-    if not spec.consensus:
-        modes = (False,)
-    else:
-        modes = (True, False) if spec.baselines else (True,)
+    modes = (True, False) if spec.baselines else (spec.consensus,)
     axes = (spec.operators, spec.n_values, spec.r_values, spec.sigma_values, modes)
     cells = [
-        SimConfig(**dict(zip(CONFIG_FIELDS, point)), k=spec.k,
+        SimConfig(**dict(zip(CELL_FIELDS, point)), k=spec.k,
                   max_iterations=spec.max_iterations, seed=spec.root_seed,
                   trajectory_stride=spec.trajectory_stride,
                   convergence_window=spec.convergence_window)
         for point in product(*axes)
     ]
-    return sorted(cells, key=CONFIG_KEY)
+    return sorted(cells, key=CELL_KEY)
 
 
 def cell_config(spec: SweepSpec, cell: SimConfig, run_index: int) -> SimConfig:
     """The cell's config for one run; r and sigma indices are their places in the spec."""
     seed = derive_seed(spec.root_seed, cell.operator, cell.n, spec.r_values.index(cell.r),
-                       spec.sigma_values.index(cell.sigma), cell.consensus_enabled, run_index)
+                       spec.sigma_values.index(cell.sigma), cell.consensus, run_index)
     return replace(cell, seed=seed)
 
 
@@ -284,8 +281,7 @@ def _make_record(run_index: int, result: RunResult) -> RunRecord:
         else None
     )
     return RunRecord(
-        **dict(zip(CELL_FIELDS, CONFIG_KEY(config))),
-        k=config.k,
+        **dict(zip(CELL_LABEL, attrgetter(*CELL_LABEL)(config))),
         run_index=run_index,
         seed=config.seed,
         converged=result.converged,

@@ -73,17 +73,17 @@ class SimConfig:
     r: float = 0.05
     sigma: float = 0.0
     max_iterations: int = 5000
-    consensus_enabled: bool = True
+    consensus: bool = True
     seed: int = 0
     trajectory_stride: int = 0
     convergence_window: int = 100
 
     def __post_init__(self) -> None:
         get_combiner(self.operator)
-        if not isinstance(self.consensus_enabled, bool):
-            raise ValueError(f"consensus_enabled must be a bool, got {self.consensus_enabled!r}")
+        if not isinstance(self.consensus, bool):
+            raise ValueError(f"consensus must be a bool, got {self.consensus!r}")
         check_count("n", self.n, 2)
-        check_count("k", self.k, 2 if self.consensus_enabled else 1)
+        check_count("k", self.k, 2 if self.consensus else 1)
         check_count("max_iterations", self.max_iterations, 1)
         check_count("convergence_window", self.convergence_window, 1)
         check_count("trajectory_stride", self.trajectory_stride, 0)
@@ -160,6 +160,15 @@ def evidence_step(
     return skips
 
 
+def _pair(k: int, rng: np.random.Generator) -> tuple[int, int]:
+    """Two distinct indices below ``k``, uniformly: ``i``, then ``j`` among the rest."""
+    if k < 2:
+        raise ValueError(f"consensus needs at least 2 agents, got {k}")
+    i = int(rng.integers(k))
+    j = int(rng.integers(k - 1))
+    return i, j + (j >= i)
+
+
 def consensus_step(
     agents: list[MassFunction], config: SimConfig, rng: np.random.Generator
 ) -> int:
@@ -170,13 +179,7 @@ def consensus_step(
     Under Dempster's rule a fully conflicting pair (K = 1) does not form
     consensus: the pair is left unchanged and the skip is counted.
     """
-    k = len(agents)
-    if k < 2:
-        raise ValueError(f"consensus needs at least 2 agents, got {k}")
-    i = int(rng.integers(k))
-    j = int(rng.integers(k - 1))
-    if j >= i:
-        j += 1
+    i, j = _pair(len(agents), rng)
     combine = get_combiner(config.operator)
     try:
         agents[i] = agents[j] = renormalize(combine(agents[i], agents[j]))
@@ -248,11 +251,7 @@ def _average_consensus_step(
     agents: list[list[float]], config: SimConfig, rng: np.random.Generator
 ) -> int:
     """``consensus_step`` for averaging's float-list agents; never skips."""
-    k = len(agents)
-    i = int(rng.integers(k))
-    j = int(rng.integers(k - 1))
-    if j >= i:
-        j += 1
+    i, j = _pair(len(agents), rng)
     agents[i] = agents[j] = _normalize_floats(
         [0.5 * x + 0.5 * y for x, y in zip(agents[i], agents[j])])
     return 0
@@ -310,7 +309,7 @@ def run(config: SimConfig) -> RunResult:
     convergence_iteration: int | None = None
     for t in range(1, config.max_iterations + 1):
         skips += evidence(agents, qualities, config, rng)
-        if config.consensus_enabled:
+        if config.consensus:
             skips += consensus(agents, config, rng)
 
         # An agent that kept its object is unchanged: compare only the replaced

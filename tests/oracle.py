@@ -362,7 +362,7 @@ def run_reference(config: SimConfig) -> RunResult:
     convergence_iteration = None
     for t in range(1, config.max_iterations + 1):
         skips += evidence_step(agents, qualities, config, rng)
-        if config.consensus_enabled:
+        if config.consensus:
             skips += consensus_step(agents, config, rng)
         unchanged = all(approx_eq(a, b, EPS_CONV) for a, b in zip(agents, prev))
         stable = stable + 1 if unchanged else 0

@@ -267,11 +267,16 @@ def _exact(result) -> dict:
 
     Focal items keep their insertion order, except for averaging, whose run
     builds its masses from float lists at the end, in ascending subset order:
-    they are sorted there.
+    they are sorted there.  The config carries today's field names: a tree
+    whose ``SimConfig`` still calls the flag ``consensus_enabled`` reports it
+    as ``consensus``, so the two trees' configs still compare value by value.
     """
     order = sorted if result.config.operator == "average" else list
+    config = asdict(result.config)
+    if "consensus_enabled" in config:
+        config["consensus"] = config.pop("consensus_enabled")
     return {
-        "config": asdict(result.config),
+        "config": config,
         "converged": result.converged,
         "convergence_iteration": result.convergence_iteration,
         "dempster_skips": result.dempster_skips,

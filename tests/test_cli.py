@@ -183,6 +183,16 @@ def test_sweep_consensus_flags_choose_cells(tmp_path, flag, modes):
         assert [row["consensus"] for row in csv.DictReader(fh)] == modes
 
 
+def test_sweep_baselines_without_consensus_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    status = cli_main(["sweep", "--operator", "yager", "--agents", "4", "--runs", "1",
+                       "--no-consensus", "--baselines", "--out", str(out)])
+    assert status == 2
+    err = capsys.readouterr().err
+    assert "baselines=True" in err and "consensus=True" in err
+    assert not out.exists()
+
+
 def test_sweep_missing_config_file_is_io_error(tmp_path, capsys):
     status = cli_main(["sweep", "--config", str(tmp_path / "nope.cfg")])
     assert status == 1

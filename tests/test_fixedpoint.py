@@ -22,7 +22,7 @@ from dstcons import (
     numeric_jacobian,
     self_combine_residual,
 )
-from dstcons import mass
+from dstcons import fixedpoint, mass
 from dstcons.fixedpoint import MAX_JACOBIAN_STATES, _dense, _self_image
 from dstcons.mass import _conjunctive, _dubois_prade_products
 from oracle import (
@@ -353,6 +353,15 @@ class TestClassify:
         report = classify("average", _random_simplex_mass(rng, F3))
         assert report.is_fixed
         assert report.classification == "marginal"
+
+    def test_frames_above_the_limit_are_refused_before_the_residual(self, monkeypatch):
+        def residual(operator, m):
+            raise AssertionError("m (+) m computed for a frame past the limit")
+
+        monkeypatch.setattr(fixedpoint, "self_combine_residual", residual)
+        frame = FrameOfDiscernment(MAX_JACOBIAN_STATES + 1)
+        with pytest.raises(ValueError, match=f"at most {MAX_JACOBIAN_STATES} states"):
+            classify("yager", MassFunction(frame, {frame.singleton(1): 1.0}))
 
     def test_dempster_categorical_reported_fixed(self):
         report = classify("dempster", MassFunction(F3, {2: 1.0}))

@@ -171,7 +171,7 @@ class TestSeedDerivation:
             config = cell_config(spec, cell, 3)
             assert config.seed == derive_seed(
                 5, "yager", 3, r_index[cell.r], sigma_index[cell.sigma],
-                cell.consensus_enabled, 3,
+                cell.consensus, 3,
             )
             assert config == replace(cell, seed=config.seed)
 
@@ -443,7 +443,7 @@ class TestConvergenceTimeSummary:
         from dstcons.harness import _make_record
 
         config = SimConfig(
-            operator="yager", k=3, n=3, r=0.0, consensus_enabled=False, seed=0
+            operator="yager", k=3, n=3, r=0.0, consensus=False, seed=0
         )
         result = run(config)
         record = _make_record(0, result)
@@ -531,7 +531,7 @@ class TestMeanTrajectory:
         {"n": 4},
         {"r": 0.2},
         {"sigma": 0.1},
-        {"consensus_enabled": False},
+        {"consensus": False},
         {"k": 4},
     ])
     def test_runs_on_different_grids_are_refused(self, other):
@@ -567,7 +567,7 @@ baselines = true
         assert spec.r_values == (0.02, 0.05, 0.1)
         assert spec.k == 50
         assert spec.baselines is True
-        assert {cell.consensus_enabled for cell in build_cells(spec)} == {True, False}
+        assert {cell.consensus for cell in build_cells(spec)} == {True, False}
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -664,6 +664,16 @@ class TestSpecValidation:
         with pytest.raises(ConfigError, match=f"{field} must be a bool"):
             SweepSpec(operators=("yager",), **{field: value})
 
+    # The pair would run exactly what consensus=False alone runs.
+    @pytest.mark.parametrize("build", [
+        lambda: SweepSpec(operators=("yager",), k=1, consensus=False, baselines=True),
+        lambda: sweep_spec_from_config(
+            "operators = yager\nk = 1\nconsensus = false\nbaselines = true\n"),
+    ], ids=["spec", "config_file"])
+    def test_baselines_need_consensus_cells(self, build):
+        with pytest.raises(ConfigError, match="baselines=True .* consensus=True"):
+            build()
+
     @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -0.1])
     def test_bad_sigma(self, sigma):
         with pytest.raises(ConfigError, match="sigma"):
@@ -750,9 +760,8 @@ class TestCells:
         spec = sweep_spec_from_config(TestConfigParsing.CONFIG)
         cells = build_cells(spec)
         assert len(cells) == 2 * 3 * 2  # operators x rates x consensus modes
-        assert {c.consensus_enabled for c in cells} == {True, False}
-        assert cells == sorted(cells, key=attrgetter("operator", "n", "r", "sigma",
-                                                     "consensus_enabled"))
+        assert {c.consensus for c in cells} == {True, False}
+        assert cells == sorted(cells, key=attrgetter("operator", "n", "r", "sigma", "consensus"))
 
     def test_cells_and_records_share_one_order(self):
         # build_cells sorts configs and emit_csv sorts records by the same
@@ -762,13 +771,13 @@ class TestCells:
                          max_iterations=3, baselines=True)
         cells = build_cells(spec)
         records = run_sweep(spec, workers=1).records
-        assert [harness.CONFIG_KEY(c) for c in cells] == [harness.CELL_KEY(r) for r in records]
+        assert [harness.CELL_KEY(c) for c in cells] == [harness.CELL_KEY(r) for r in records]
         assert [harness.CELL_KEY(r) for r in records] == sorted(map(harness.CELL_KEY, records))
         assert len(set(map(harness.CELL_KEY, records))) == 2 * 2 * 2 * 2 * 2
 
     def test_no_consensus_mode(self):
         spec = SweepSpec(operators=("yager",), consensus=False, k=1)
-        assert [cell.consensus_enabled for cell in build_cells(spec)] == [False]
+        assert [cell.consensus for cell in build_cells(spec)] == [False]
 
 
 class TestWorkers:

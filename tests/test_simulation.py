@@ -80,7 +80,7 @@ class TestConfigValidation:
     def test_consensus_needs_two_agents(self):
         with pytest.raises(ValueError):
             SimConfig(operator="yager", k=1)
-        SimConfig(operator="yager", k=1, consensus_enabled=False)
+        SimConfig(operator="yager", k=1, consensus=False)
 
     def test_rate_range(self):
         with pytest.raises(ValueError):
@@ -112,8 +112,8 @@ class TestConfigValidation:
     @pytest.mark.parametrize("value", ["false", None, 0, 1, np.bool_(False)])
     def test_consensus_flag_must_be_bool(self, value):
         # Read by truthiness, "false" would run with consensus.
-        with pytest.raises(ValueError, match="consensus_enabled must be a bool"):
-            SimConfig(operator="yager", consensus_enabled=value)
+        with pytest.raises(ValueError, match="consensus must be a bool"):
+            SimConfig(operator="yager", consensus=value)
 
 
 class TestEvidenceStep:
@@ -128,7 +128,7 @@ class TestEvidenceStep:
     @pytest.mark.parametrize("op", ["dempster", "dubois_prade", "yager"])
     def test_vacuous_agent_adopts_evidence(self, op):
         config = SimConfig(
-            operator=op, k=1, n=3, r=1.0, sigma=0.0, consensus_enabled=False
+            operator=op, k=1, n=3, r=1.0, sigma=0.0, consensus=False
         )
         agents = [make_vacuous(F3)]
         qualities = default_qualities(3)
@@ -145,7 +145,7 @@ class TestEvidenceStep:
         # The universal set is not neutral for averaging: the update lands
         # halfway between ignorance and the evidence.
         config = SimConfig(
-            operator="average", k=1, n=3, r=1.0, sigma=0.0, consensus_enabled=False
+            operator="average", k=1, n=3, r=1.0, sigma=0.0, consensus=False
         )
         agents = [make_vacuous(F3)]
         qualities = default_qualities(3)
@@ -159,7 +159,7 @@ class TestEvidenceStep:
 
     def test_categorical_agent_is_fixed_under_dubois_prade(self):
         config = SimConfig(
-            operator="dubois_prade", k=1, n=3, r=1.0, sigma=0.0, consensus_enabled=False
+            operator="dubois_prade", k=1, n=3, r=1.0, sigma=0.0, consensus=False
         )
         agents = [MassFunction(F3, {4: 1.0})]
         for _ in range(5):
@@ -188,7 +188,7 @@ class TestEvidenceStep:
     def test_certain_agent_keeps_its_object_without_combining(self, op, monkeypatch):
         calls = self._count_combines(monkeypatch)
         config = SimConfig(
-            operator=op, k=1, n=3, r=1.0, sigma=0.3, consensus_enabled=False
+            operator=op, k=1, n=3, r=1.0, sigma=0.3, consensus=False
         )
         agent = MassFunction(F3, {4: 1.0})
         agents = [agent]
@@ -207,7 +207,7 @@ class TestEvidenceStep:
         # only through the API) is not certain.
         calls = self._count_combines(monkeypatch)
         config = SimConfig(
-            operator=op, k=1, n=3, r=1.0, sigma=0.0, consensus_enabled=False
+            operator=op, k=1, n=3, r=1.0, sigma=0.0, consensus=False
         )
         agents = [MassFunction(F3, {4: value})]
         evidence_step(agents, default_qualities(3), config, np.random.default_rng(1))
@@ -220,7 +220,7 @@ class TestEvidenceStep:
         # no select_state.
         monkeypatch.setattr(simulation, "select_state", lambda m, rng: 2)
         config = SimConfig(
-            operator="dempster", k=1, n=3, r=1.0, sigma=0.0, consensus_enabled=False
+            operator="dempster", k=1, n=3, r=1.0, sigma=0.0, consensus=False
         )
         agents = [MassFunction(F3, {1: 0.5, 5: 0.5})]
         qualities = np.array([0.5, 1.0, 0.5])
@@ -242,7 +242,7 @@ class TestEvidenceStep:
 
         monkeypatch.setattr(simulation, "evidence_mass", capture)
         config = SimConfig(
-            operator="yager", k=100, n=3, r=1.0, sigma=sigma, consensus_enabled=False
+            operator="yager", k=100, n=3, r=1.0, sigma=sigma, consensus=False
         )
         rng = np.random.default_rng(0)
         qualities = default_qualities(3)
@@ -304,11 +304,15 @@ class TestPopulationSize:
         assert len(agents) == size
         assert all(new is not old for new, old in zip(agents, start))
 
-    def test_consensus_step_needs_two_agents(self):
-        config = SimConfig(operator="yager", k=5, n=3)
-        agents = [make_vacuous(F3)]
+    @pytest.mark.parametrize("step, operator, agent", [
+        pytest.param(consensus_step, "yager", make_vacuous(F3), id="consensus_step"),
+        pytest.param(simulation._average_consensus_step, "average", [0.0, 0.0, 0.0, 1.0],
+                     id="average_consensus_step"),
+    ])
+    def test_consensus_step_needs_two_agents(self, step, operator, agent):
+        config = SimConfig(operator=operator, k=5, n=3)
         with pytest.raises(ValueError, match="consensus needs at least 2 agents, got 1"):
-            consensus_step(agents, config, np.random.default_rng(0))
+            step([agent], config, np.random.default_rng(0))
 
 
 class TestCheckConvergence:
@@ -348,7 +352,7 @@ class TestRun:
 
     def test_static_run_converges_at_window(self):
         config = SimConfig(
-            operator="dubois_prade", k=5, n=3, r=0.0, consensus_enabled=False, seed=1
+            operator="dubois_prade", k=5, n=3, r=0.0, consensus=False, seed=1
         )
         result = run(config)
         assert result.converged
@@ -431,7 +435,7 @@ class TestRun:
         # skips totally conflicting pairs.
         config = SimConfig(
             operator=op, k=10, n=3, r=0.3, sigma=0.3, seed=3,
-            max_iterations=600, consensus_enabled=consensus,
+            max_iterations=600, consensus=consensus,
         )
         result = run(config)
         assert result.converged == (op != "average")
@@ -556,7 +560,7 @@ class TestAveragingFloatLists:
 
     CONFIGS = [
         SimConfig(operator="average", k=20, n=n, r=r, sigma=sigma,
-                  consensus_enabled=consensus, seed=seed, max_iterations=200,
+                  consensus=consensus, seed=seed, max_iterations=200,
                   convergence_window=40, trajectory_stride=7)
         for n in (2, 3, 10) for r in (0.002, 0.3, 1.0) for sigma in (0.0, 0.3)
         for consensus in (True, False) for seed in (0, 1)
