@@ -17,7 +17,15 @@ update.  An agent certain of one state takes no combination: evidence for
 that state could not move it.  It still makes the draws of an update, its
 unused uniform as one raw 64-bit word on PCG64 (the generator ``run``
 builds), which leaves the stream where ``random()`` would; on any other
-generator it calls ``random()``.
+generator it calls ``random()``.  Nor does a pair of agents that hold one
+and the same focal set at exactly 1.0: their combination is that mass
+again, so both keep their objects.
+
+The steps record in ``replaced`` the mass of each agent they replace, the
+first record of an iteration winning, and ``run`` checks convergence over
+those agents alone: every other agent kept its object.  ``run`` draws each
+consensus pair itself, from raw PCG64 words by numpy's own method
+(``_word_pairs``), the pair ``_pair`` would draw from the same stream.
 
 Averaging keeps every agent on the singletons and the whole frame S, so its
 run holds each agent as the n + 1 floats ``[m({s_1}), ..., m({s_n}), m(S)]``
@@ -33,11 +41,11 @@ distinct runs share no state and can execute in parallel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from functools import partial
 from math import fsum, isfinite
 from numbers import Real
-from operator import add, is_not
-from typing import Sequence
+from operator import add
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -117,6 +125,7 @@ def evidence_step(
     qualities: np.ndarray,
     config: SimConfig,
     rng: np.random.Generator,
+    replaced: dict[int, MassFunction] | None = None,
 ) -> int:
     """One round of evidential updating on ``agents``, in place; returns the skips.
 
@@ -131,12 +140,14 @@ def evidence_step(
     normal) and calls nothing.  Its uniform goes unused, so on PCG64 it is
     drawn as one raw word (``bit_generator.random_raw()``), the one word
     ``random()`` takes; any other generator draws it with ``random()``.
+    Each agent replaced gets ``replaced.setdefault(index, old mass)``.
     """
     combine = get_combiner(config.operator)
     preserving = config.operator in CERTAINTY_PRESERVING
     random, normal = rng.random, rng.standard_normal
     bits = rng.bit_generator
     unused = bits.random_raw if type(bits) is np.random.PCG64 else random
+    record = {}.setdefault if replaced is None else replaced.setdefault
     skips = 0
     gates = random(len(agents))
     quality = qualities.tolist()
@@ -157,6 +168,8 @@ def evidence_step(
             agents[idx] = renormalize(combine(m, ev))
         except TotalConflictError:
             skips += 1
+        else:
+            record(idx, m)
     return skips
 
 
@@ -169,22 +182,79 @@ def _pair(k: int, rng: np.random.Generator) -> tuple[int, int]:
     return i, j + (j >= i)
 
 
+def _word_pairs(rng: np.random.Generator, k: int) -> Callable[[], tuple[int, int]]:
+    """``_pair(k, rng)`` as a function of no arguments, drawn from raw PCG64 words.
+
+    For a bound ``b <= 2**32``, numpy's ``integers(b)`` takes the low 32-bit
+    half of a 64-bit word and holds the high half for its next such draw
+    (PCG64's ``has_uint32`` and ``uinteger``).  It maps a half ``x`` to
+    ``x * b >> 32``, and draws again while ``x * b mod 2**32`` is below
+    ``2**32 mod b`` (Lemire, arXiv 1805.10941); ``integers(1)`` draws
+    nothing.  The returned function does the same on ``random_raw()`` words
+    and holds the high half itself.  Its pairs and the stream are those of
+    ``_pair`` while nothing else draws 32-bit values from ``rng``:
+    ``random()`` and ``standard_normal()`` take whole words.  Above 2**32
+    agents numpy draws 64-bit values, and the function is ``_pair``.
+    """
+    if k > 1 << 32:
+        return partial(_pair, k, rng)
+    raw = rng.bit_generator.random_raw
+    held = -1  # the high half of the last word, -1 once drawn
+
+    def below(bound: int, threshold: int) -> int:
+        nonlocal held
+        while True:
+            if held < 0:
+                word = raw()
+                x, held = word & 0xFFFFFFFF, word >> 32
+            else:
+                x, held = held, -1
+            product = x * bound
+            if product & 0xFFFFFFFF >= threshold:
+                return product >> 32
+
+    first, rest = (1 << 32) % k, (1 << 32) % (k - 1)
+
+    def pair() -> tuple[int, int]:
+        i = below(k, first)
+        j = below(k - 1, rest) if k > 2 else 0
+        return i, j + (j >= i)
+
+    return pair
+
+
 def consensus_step(
-    agents: list[MassFunction], config: SimConfig, rng: np.random.Generator
+    agents: list[MassFunction],
+    config: SimConfig,
+    rng: np.random.Generator,
+    replaced: dict[int, MassFunction] | None = None,
+    pair: tuple[int, int] | None = None,
 ) -> int:
     """One pairwise fusion on ``agents``, in place; returns the skips (0 or 1).
 
-    Two distinct agents are chosen uniformly at random and both adopt the
-    combination of their beliefs, so both then hold the same ``MassFunction``.
-    Under Dempster's rule a fully conflicting pair (K = 1) does not form
-    consensus: the pair is left unchanged and the skip is counted.
+    Two distinct agents, ``pair`` or else ``_pair(len(agents), rng)``, both
+    adopt the combination of their beliefs, so both then hold the same
+    ``MassFunction``.  A pair that holds one and the same focal set at
+    exactly 1.0 is left alone: every operator returns that mass for it
+    (A ∩ A = A, K = 0, and the product 1.0 totals exactly 1.0), so both keep
+    their objects, which need not be one.  Under Dempster's rule a fully
+    conflicting pair (K = 1) does not form consensus: the pair is left
+    unchanged and the skip is counted.  Each agent replaced gets
+    ``replaced.setdefault(index, old mass)``.
     """
-    i, j = _pair(len(agents), rng)
+    i, j = _pair(len(agents), rng) if pair is None else pair
+    m1, m2 = agents[i], agents[j]
+    focal = m1.focal
+    if len(focal) == 1 and focal == m2.focal and 1.0 in focal.values() and m1.frame is m2.frame:
+        return 0
     combine = get_combiner(config.operator)
     try:
-        agents[i] = agents[j] = renormalize(combine(agents[i], agents[j]))
+        agents[i] = agents[j] = renormalize(combine(m1, m2))
     except TotalConflictError:
         return 1
+    if replaced is not None:
+        replaced.setdefault(i, m1)
+        replaced.setdefault(j, m2)
     return 0
 
 
@@ -206,17 +276,19 @@ def population_means(agents: Sequence[MassFunction]) -> tuple[tuple[float, ...],
 # make the draws of evidence_step and consensus_step in the same order, and
 # every float they compute is a sum of two terms or an fsum, which no order of
 # the terms changes, so a run's outputs keep their bits.  A list is never
-# mutated: the pair of a consensus step shares one, as it shares a mass.
+# mutated: the pair of a consensus step shares one, as a combined pair shares
+# a mass.
 
 
 def _average_evidence_step(
     agents: list[list[float]], quality: list[float], config: SimConfig,
-    rng: np.random.Generator,
+    rng: np.random.Generator, replaced: dict[int, list[float]] | None = None,
 ) -> int:
     """``evidence_step`` for averaging's float-list agents; never skips."""
     n = len(quality)
     sigma = config.sigma
     random, normal = rng.random, rng.standard_normal
+    record = {}.setdefault if replaced is None else replaced.setdefault
     gates = random(len(agents))
     for idx in (gates < config.r).nonzero()[0].tolist():
         a = agents[idx]
@@ -244,16 +316,21 @@ def _average_evidence_step(
             mean[j] += 0.5 * v
             mean[n] += 0.5 * (1.0 - v)
         agents[idx] = _normalize_floats(mean)
+        record(idx, a)
     return 0
 
 
 def _average_consensus_step(
-    agents: list[list[float]], config: SimConfig, rng: np.random.Generator
+    agents: list[list[float]], config: SimConfig, rng: np.random.Generator,
+    replaced: dict[int, list[float]] | None = None, pair: tuple[int, int] | None = None,
 ) -> int:
     """``consensus_step`` for averaging's float-list agents; never skips."""
-    i, j = _pair(len(agents), rng)
-    agents[i] = agents[j] = _normalize_floats(
-        [0.5 * x + 0.5 * y for x, y in zip(agents[i], agents[j])])
+    i, j = _pair(len(agents), rng) if pair is None else pair
+    a, b = agents[i], agents[j]
+    agents[i] = agents[j] = _normalize_floats([0.5 * x + 0.5 * y for x, y in zip(a, b)])
+    if replaced is not None:
+        replaced.setdefault(i, a)
+        replaced.setdefault(j, b)
     return 0
 
 
@@ -304,22 +381,18 @@ def run(config: SimConfig) -> RunResult:
     if stride:
         samples.append((0, *means(agents)))
 
-    prev = agents.copy()
+    draw_pair = _word_pairs(rng, config.k) if config.consensus else None
     stable = 0
     convergence_iteration: int | None = None
     for t in range(1, config.max_iterations + 1):
-        skips += evidence(agents, qualities, config, rng)
+        replaced: dict = {}
+        skips += evidence(agents, qualities, config, rng, replaced)
         if config.consensus:
-            skips += consensus(agents, config, rng)
+            skips += consensus(agents, config, rng, replaced, draw_pair())
 
-        # An agent that kept its object is unchanged: compare only the replaced
-        # ones, in index order.
-        unchanged = all(
-            same(agents[i], prev[i], EPS_CONV)
-            for i in compress(range(len(agents)), map(is_not, agents, prev))
-        )
+        # An agent no step replaced kept its object and is unchanged.
+        unchanged = all(same(agents[i], old, EPS_CONV) for i, old in replaced.items())
         stable = stable + 1 if unchanged else 0
-        prev = agents.copy()
 
         closed = stable >= config.convergence_window
         if stride and (t % stride == 0 or closed or t == config.max_iterations):

@@ -9,8 +9,10 @@ check and the two-pass normalisation are second routes to what ``classify``,
 Jacobian is the reference for the one ``numeric_jacobian`` sums from the
 library's product loops.  The evidence step without its shortcut for
 certain agents, with every uniform drawn by ``random()``, is the reference
-the shortcut is replayed against, and the ``min(max(...))`` clamp is the
-reference for the evidence mass's two comparisons.  The bit-position
+the shortcut is replayed against, the consensus step that combines every
+pair is the reference for leaving an agreeing certain pair alone, and the
+``min(max(...))`` clamp is the reference for the evidence mass's two
+comparisons.  The bit-position
 pignistic loop is the reference for ``pignistic``'s cached member lists and
 whole singleton masses, and the generic pair loops are the references for
 the product loops' two-focal branch.  The rescales that divide by every
@@ -18,8 +20,11 @@ total, 1.0 included, are the references for ``_from_products`` and
 ``_normalize_floats``, which keep their input when it totals exactly 1.0,
 and the column-by-column Jacobian is the reference for the one-pass
 assembly of ``numeric_jacobian``.
-``run_reference`` runs the public steps on ``MassFunction`` agents: the
-reference for the float lists that ``run`` holds under averaging.
+``run_reference`` runs the public steps on ``MassFunction`` agents, each
+pair drawn by ``_pair`` and every agent compared with its value one
+iteration before: the reference for the float lists that ``run`` holds under
+averaging, for its pairs drawn from raw words, and for its convergence check
+over the agents the steps replaced.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ from dstcons import (
 )
 from dstcons.fixedpoint import _dense, _self_image
 from dstcons.mass import _conjunctive, _dubois_prade_products
-from dstcons.simulation import consensus_step, evidence_step
+from dstcons.simulation import _pair, consensus_step, evidence_step
 
 
 def dense(m: MassFunction) -> np.ndarray:
@@ -327,8 +332,10 @@ def evidence_step_reference(
     qualities: np.ndarray,
     config: SimConfig,
     rng: np.random.Generator,
+    replaced: dict[int, MassFunction] | None = None,
 ) -> int:
-    """``evidence_step`` that combines every gated update, certain agents too."""
+    """``evidence_step`` that combines every gated update, certain agents too,
+    and records each agent it replaces as ``evidence_step`` does."""
     combine = get_combiner(config.operator)
     skips = 0
     gates = rng.random(len(agents))
@@ -341,7 +348,31 @@ def evidence_step_reference(
             agents[idx] = renormalize(combine(m, ev))
         except TotalConflictError:
             skips += 1
+            continue
+        if replaced is not None:
+            replaced.setdefault(idx, m)
     return skips
+
+
+def consensus_step_reference(
+    agents: list[MassFunction],
+    config: SimConfig,
+    rng: np.random.Generator,
+    replaced: dict[int, MassFunction] | None = None,
+    pair: tuple[int, int] | None = None,
+) -> int:
+    """``consensus_step`` that combines every pair, agreeing certain pairs too,
+    and records each agent it replaces as ``consensus_step`` does."""
+    i, j = _pair(len(agents), rng) if pair is None else pair
+    m1, m2 = agents[i], agents[j]
+    try:
+        agents[i] = agents[j] = renormalize(get_combiner(config.operator)(m1, m2))
+    except TotalConflictError:
+        return 1
+    if replaced is not None:
+        replaced.setdefault(i, m1)
+        replaced.setdefault(j, m2)
+    return 0
 
 
 def run_reference(config: SimConfig) -> RunResult:

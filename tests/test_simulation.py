@@ -1,5 +1,6 @@
 """Tests for the population dynamics: stepping, convergence, full runs."""
 
+import itertools
 import json
 import math
 from collections import Counter
@@ -34,6 +35,7 @@ from dstcons.simulation import consensus_step, evidence_step
 from oracle import (
     check_convergence,
     conjunctive_reference,
+    consensus_step_reference,
     evidence_step_reference,
     from_products_reference,
     normalize_floats_reference,
@@ -700,6 +702,171 @@ class TestCertainAgentShortcut:
         current = replay_outcome()
         monkeypatch.setattr(simulation, "evidence_step", evidence_step_reference)
         assert replay_outcome() == current
+
+
+class TestAgreeingPairs:
+    """A pair holding one and the same focal set at exactly 1.0 is left alone,
+    bit for bit the combination ``consensus_step_reference`` always makes."""
+
+    @staticmethod
+    def _both_steps(op, focal1, focal2):
+        """``consensus_step`` and its reference on the pair (0, 1): each one's
+        skips, agents and records, and whether the step kept both objects."""
+        config = SimConfig(operator=op, k=2, n=3)
+        start = [MassFunction(F3, focal1), MassFunction(F3, focal2)]
+        outcomes = []
+        for step in (consensus_step, consensus_step_reference):
+            agents, replaced = start.copy(), {}
+            skips = step(agents, config, None, replaced, (0, 1))
+            outcomes.append((skips, [list(m.focal.items()) for m in agents], replaced))
+            if step is consensus_step:
+                kept = all(a is b for a, b in zip(agents, start))
+        return outcomes, kept
+
+    @pytest.mark.parametrize("op", sorted(COMBINERS))
+    @pytest.mark.parametrize("subset", [1, 4, 3, 7])
+    def test_agreeing_certain_pair_keeps_its_objects(self, op, subset):
+        (fast, reference), kept = self._both_steps(op, {subset: 1.0}, {subset: 1.0})
+        assert kept and fast[2] == {}
+        assert fast[:2] == reference[:2] == (0, [[(subset, 1.0)]] * 2)
+
+    @pytest.mark.parametrize("op", sorted(COMBINERS))
+    @pytest.mark.parametrize("focal1, focal2", [
+        ({1: 1 - 1e-10}, {1: 1 - 1e-10}),  # one focal set, not at exactly 1.0
+        ({1: 1.0}, {2: 1.0}),  # two certain agents on different sets
+        ({1: 1.0}, {1: 0.5, 7: 0.5}),  # one certain agent
+        ({7: 1.0}, {1: 0.25, 7: 0.75}),
+    ])
+    def test_other_pairs_are_combined(self, op, focal1, focal2):
+        (fast, reference), kept = self._both_steps(op, focal1, focal2)
+        assert fast == reference
+        # Only a total conflict under Dempster's rule leaves the pair as it was.
+        assert kept == (fast[0] == 1)
+
+    def test_nearly_certain_pair_passes_the_checked_constructor(self):
+        # So a run's agents can hold it, and its combination moves it to 1.0.
+        m = MassFunction(F3, {1: 1 - 1e-10})
+        fused = renormalize(get_combiner("dempster")(m, m))
+        assert fused.focal == {1: 1.0}
+
+    def test_frames_are_still_checked(self):
+        config = SimConfig(operator="yager", k=2, n=3)
+        agents = [MassFunction(F3, {1: 1.0}), MassFunction(FrameOfDiscernment(2), {1: 1.0})]
+        with pytest.raises(ValueError, match="frame mismatch"):
+            consensus_step(agents, config, None, None, (0, 1))
+
+    def test_paired_replay_against_consensus_step_that_always_combines(self, monkeypatch):
+        left_alone = Counter()
+        step = simulation.consensus_step
+
+        def watched(agents, config, rng, replaced=None, pair=None):
+            before = agents[pair[0]]
+            skips = step(agents, config, rng, replaced, pair)
+            left_alone[config.operator] += not skips and agents[pair[0]] is before
+            return skips
+
+        monkeypatch.setattr(simulation, "consensus_step", watched)
+        current = replay_outcome()
+        assert set(left_alone) == {"dempster", "dubois_prade", "yager"}
+        assert all(left_alone.values())
+        monkeypatch.setattr(simulation, "consensus_step", consensus_step_reference)
+        assert replay_outcome() == current
+
+
+class TestWordPairs:
+    """``run`` draws its pairs from raw words: the pairs and the stream of
+    ``_pair``, which calls the installed numpy's ``integers``."""
+
+    @staticmethod
+    def _words_drawn(seed, rng):
+        """How many raw words ``rng``, seeded with ``seed``, has advanced."""
+        probe = np.random.default_rng(seed).bit_generator
+        target = rng.bit_generator.state["state"]
+        words = 0
+        while probe.state["state"] != target:
+            probe.random_raw()
+            words += 1
+        return words
+
+    @pytest.mark.parametrize("k", [2, 3, 20, 100, 2**31 + 7, 3 * 2**30, 2**32, 2**32 + 1])
+    def test_pairs_and_later_draws_match_pair(self, k):
+        by_words, by_integers = np.random.default_rng(11), np.random.default_rng(11)
+        draw = simulation._word_pairs(by_words, k)
+        for t in range(400):
+            assert draw() == simulation._pair(k, by_integers)
+            if t % 3 == 0:
+                assert by_words.random() == by_integers.random()
+            if t % 7 == 1:
+                normals = by_words.standard_normal(2), by_integers.standard_normal(2)
+                assert normals[0].tolist() == normals[1].tolist()
+        assert by_words.random(5).tolist() == by_integers.random(5).tolist()
+        assert draw() == simulation._pair(k, by_integers)
+        assert by_words.standard_normal() == by_integers.standard_normal()
+
+    @pytest.mark.parametrize("k, rejecting", [(20, False), (2**31 + 7, True), (3 * 2**30, True)])
+    def test_large_bounds_reject_halves(self, k, rejecting):
+        # Each pair takes two 32-bit halves unless a half is rejected; one
+        # rejection leaves a half held over for the next pair.
+        rng = np.random.default_rng(4)
+        draw = simulation._word_pairs(rng, k)
+        for _ in range(100):
+            draw()
+        assert (self._words_drawn(4, rng) > 100) == rejecting
+
+
+class TestReplacedCheck:
+    """``run`` checks convergence over the agents its steps replaced, bit for
+    bit the check of every agent against the iteration before."""
+
+    CONFIGS = [
+        SimConfig(operator=op, k=k, n=3, r=r, sigma=sigma, consensus=consensus,
+                  seed=seed, max_iterations=300, convergence_window=30, trajectory_stride=7)
+        for seed, (op, k, r, sigma, consensus) in enumerate(itertools.product(
+            sorted(COMBINERS), (2, 3), (0.05, 1.0), (0.0, 0.2), (True, False)))
+    ]
+
+    def test_run_matches_run_reference(self):
+        converged = Counter()
+        for config in self.CONFIGS:
+            a, b = run(config), run_reference(config)
+            assert a.convergence_iteration == b.convergence_iteration
+            assert a.dempster_skips == b.dempster_skips
+            for field in ("trajectory_iterations", "trajectory_bel", "trajectory_pl_best"):
+                assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+            assert focal_items(a) == focal_items(b)
+            converged[a.converged] += 1
+        assert converged[True] and converged[False]
+
+    @pytest.mark.parametrize("op", ["yager", "average"])
+    def test_agent_moved_and_moved_back_counts_as_unchanged(self, op, monkeypatch):
+        # Each iteration a patched evidence step makes agent 0 certain, and the
+        # one pair k=2 allows combines into a new copy of the vacuous start.
+        # Against its mass at the start of the iteration agent 0 is unchanged,
+        # so the run closes after the window; against the certain mass the
+        # consensus step replaced, it would change every iteration.
+        def evidence(agents, qualities, config, rng, replaced):
+            replaced.setdefault(0, agents[0])
+            agents[0] = certain
+            return 0
+
+        if op == "average":
+            certain = [1.0, 0.0, 0.0, 0.0]
+
+            def vacuous_floats(raw):
+                return [0.0, 0.0, 0.0, 1.0]
+
+            monkeypatch.setattr(simulation, "_average_evidence_step", evidence)
+            monkeypatch.setattr(simulation, "_normalize_floats", vacuous_floats)
+        else:
+            certain = MassFunction(F3, {1: 1.0})
+
+            def combining_to_vacuous(name):
+                return lambda m1, m2: make_vacuous(m1.frame)
+
+            monkeypatch.setattr(simulation, "evidence_step", evidence)
+            monkeypatch.setattr(simulation, "get_combiner", combining_to_vacuous)
+        config = SimConfig(operator=op, k=2, n=3, max_iterations=50, convergence_window=4)
+        assert run(config).convergence_iteration == 4
 
 
 class TestUncheckedConstruction:
